@@ -22,7 +22,7 @@ from pathlib import Path
 from repro.db.database import Database
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.table import Table
-from repro.db.types import DataType, infer_type, parse_typed
+from repro.db.types import DataType, infer_type, parse_column
 from repro.errors import CsvFormatError
 
 _SCHEMA_FILE = "_schema.json"
@@ -123,22 +123,55 @@ def _doc_to_schema(doc: dict) -> TableSchema:
         raise CsvFormatError(f"malformed schema entry: {exc}") from exc
 
 
-def _read_rows(csv_path: Path) -> tuple[list[str], list[list[str]]]:
+def _read_columns(csv_path: Path) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Read a CSV file and transpose it into one tuple of cells per column.
+
+    The row lists die with this call; only the columns outlive it.
+    """
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CsvFormatError(f"{csv_path} is empty (missing header)") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
+        rows = list(reader)
+    if set(map(len, rows)) - {len(header)}:
+        for lineno, row in enumerate(rows, start=2):
             if len(row) != len(header):
                 raise CsvFormatError(
                     f"{csv_path}:{lineno}: expected {len(header)} cells, "
                     f"got {len(row)}"
                 )
-            rows.append(row)
-    return header, rows
+    if not rows:
+        return header, [() for _ in header]
+    return header, list(zip(*rows))
+
+
+def _fill_table(table: Table, columns: list[tuple[str, ...]]) -> None:
+    """Parse each CSV column with its type's routine, then bulk-append them.
+
+    Rules and errors are those of inserting the parsed rows one by one:
+    the first offending row decides, and a row's cells are all parsed
+    before any constraint is checked.  Each column's cells are released
+    as soon as it is parsed.
+    """
+    parsed: dict[str, list] = {}
+    first_fault = None
+    for index, col in enumerate(table.schema.columns):
+        values, fault = parse_column(col.dtype, columns[index])
+        columns[index] = ()
+        if fault is not None and (first_fault is None or fault.row < first_fault.row):
+            first_fault = fault
+        parsed[col.name] = values
+    if first_fault is not None:
+        # The rows before the first unparsable cell may still break a
+        # constraint, which would have been reported first.  The table is
+        # freshly created, so a scratch copy of it judges them.
+        Table(table.schema).extend_columns(
+            {name: values[: first_fault.row] for name, values in parsed.items()}
+        )
+        raise first_fault.error
+    table.extend_columns(parsed)
 
 
 def _load_with_schema(path: Path, schema_path: Path, name: str | None) -> Database:
@@ -152,25 +185,14 @@ def _load_with_schema(path: Path, schema_path: Path, name: str | None) -> Databa
         if not csv_path.exists():
             raise CsvFormatError(f"schema declares {schema.name!r} but {csv_path} "
                                  "is missing")
-        header, rows = _read_rows(csv_path)
+        header, columns = _read_columns(csv_path)
         if header != schema.column_names:
             raise CsvFormatError(
                 f"{csv_path}: header {header!r} does not match schema columns "
                 f"{schema.column_names!r}"
             )
-        _insert_parsed(table, schema, rows)
+        _fill_table(table, columns)
     return db
-
-
-def _insert_parsed(table: Table, schema: TableSchema, rows: list[list[str]]) -> None:
-    dtypes = [schema.column(c).dtype for c in schema.column_names]
-    for row in rows:
-        table.insert(
-            {
-                name: parse_typed(dtype, cell)
-                for name, dtype, cell in zip(schema.column_names, dtypes, row)
-            }
-        )
 
 
 def _load_inferred(path: Path, name: str | None) -> Database:
@@ -179,14 +201,16 @@ def _load_inferred(path: Path, name: str | None) -> Database:
     if not csv_files:
         raise CsvFormatError(f"{path} contains no .csv files")
     for csv_path in csv_files:
-        header, rows = _read_rows(csv_path)
+        header, columns = _read_columns(csv_path)
         if len(set(header)) != len(header):
             raise CsvFormatError(f"{csv_path}: duplicate column names in header")
-        columns = []
-        for idx, col_name in enumerate(header):
-            cells = [row[idx] if row[idx] != "" else None for row in rows]
-            columns.append(Column(col_name, infer_type(cells)))
-        schema = TableSchema(csv_path.stem, columns)
+        schema = TableSchema(
+            csv_path.stem,
+            [
+                Column(col_name, infer_type([cell or None for cell in cells]))
+                for col_name, cells in zip(header, columns)
+            ],
+        )
         table = db.create_table(schema)
-        _insert_parsed(table, schema, rows)
+        _fill_table(table, columns)
     return db

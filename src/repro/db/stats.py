@@ -10,12 +10,14 @@ Everything is computed in one pass per column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import xor
 from zlib import crc32
 
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
 from repro.db.types import DataType
-from repro.storage.codec import render_value
+from repro.storage.codec import render_column
 
 
 @dataclass(frozen=True)
@@ -65,52 +67,45 @@ class ColumnStats:
 
 
 def profile_column(db: Database, ref: AttributeRef) -> ColumnStats:
-    """Compute :class:`ColumnStats` for one attribute."""
+    """Compute :class:`ColumnStats` for one attribute.
+
+    Renders the column once, dispatching on its type
+    (:func:`~repro.storage.codec.render_column`), into its distinct set;
+    only that one set is held, and it is dropped on return.
+    """
     table = db.table(ref.table)
     column = table.column_def(ref.column)
-    values = table.column_values(ref.column)
-    null_count = 0
-    distinct: set[str] = set()
-    min_len: int | None = None
-    max_len: int | None = None
+    row_count = table.row_count
+    present = table.non_null_values(ref.column)
+    distinct = set(render_column(column.dtype.value, present))
     numeric_min: float | None = None
     numeric_max: float | None = None
-    all_numeric = True
-    for value in values:
-        if value is None:
-            null_count += 1
-            continue
-        rendered = render_value(value)
-        distinct.add(rendered)
-        length = len(rendered)
-        if min_len is None or length < min_len:
-            min_len = length
-        if max_len is None or length > max_len:
-            max_len = length
-        if all_numeric and isinstance(value, (int, float)):
+    if present and column.dtype is DataType.INTEGER:
+        # float() is monotone, so it commutes with min and max.
+        numeric_min, numeric_max = float(min(present)), float(max(present))
+    elif present and column.dtype is DataType.FLOAT:
+        # A running loop, not min()/max(): with NaNs present the result
+        # depends on the comparison order, which stays the row order.
+        for value in present:
             numeric = float(value)
             if numeric_min is None or numeric < numeric_min:
                 numeric_min = numeric
             if numeric_max is None or numeric > numeric_max:
                 numeric_max = numeric
-        else:
-            all_numeric = False
-    checksum = 0
-    for rendered in distinct:
-        checksum ^= crc32(rendered.encode("utf-8"))
+    lengths = set(map(len, distinct))
     return ColumnStats(
         ref=ref,
         dtype=column.dtype,
-        row_count=len(values),
-        null_count=null_count,
+        row_count=row_count,
+        null_count=row_count - len(present),
         distinct_count=len(distinct),
         min_value=min(distinct) if distinct else None,
         max_value=max(distinct) if distinct else None,
-        min_length=min_len,
-        max_length=max_len,
-        numeric_min=numeric_min if all_numeric else None,
-        numeric_max=numeric_max if all_numeric else None,
-        value_checksum=checksum,
+        min_length=min(lengths) if lengths else None,
+        max_length=max(lengths) if lengths else None,
+        numeric_min=numeric_min,
+        numeric_max=numeric_max,
+        value_checksum=reduce(xor, map(crc32, map(str.encode, distinct)), 0),
     )
 
 

@@ -7,11 +7,11 @@ is columnar, so the storage is too.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.db.schema import Column, TableSchema
-from repro.db.types import validate_value
+from repro.db.types import CellFault, validate_column
 from repro.errors import DataError, SchemaError
 
 
@@ -57,23 +57,8 @@ class Table:
         Missing columns are filled with NULL; unknown keys are an error so
         that generator bugs surface instead of silently dropping data.
         """
-        unknown = set(row) - set(self._columns)
-        if unknown:
-            raise SchemaError(
-                f"table {self.name!r} has no column(s) {sorted(unknown)!r}"
-            )
-        prepared: dict[str, Any] = {}
-        for col in self.schema.columns:
-            value = validate_value(col.dtype, row.get(col.name))
-            if value is None and not col.nullable:
-                raise DataError(
-                    f"{self.name}.{col.name}: NULL not allowed (nullable=False)"
-                )
-            prepared[col.name] = value
-        self._check_unique(prepared)
-        for name, value in prepared.items():
-            self._columns[name].append(value)
-        self._row_count += 1
+        self._check_known(row)
+        self.extend_columns({name: (row.get(name),) for name in self._columns})
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert rows in order; returns the number inserted."""
@@ -83,22 +68,95 @@ class Table:
             count += 1
         return count
 
-    def _check_unique(self, prepared: Mapping[str, Any]) -> None:
-        for name, seen in self._unique_seen.items():
-            value = prepared[name]
-            if value is None:
-                continue  # SQL unique constraints ignore NULLs
-            if value in seen:
-                raise DataError(
-                    f"{self.name}.{name}: duplicate value {value!r} violates "
-                    "unique constraint"
+    def extend_columns(self, columns: Mapping[str, Sequence[Any]]) -> int:
+        """Append rows given column-wise; returns the number appended.
+
+        ``columns`` maps column names to equally long value sequences;
+        missing columns are filled with NULL.  Every rule :meth:`insert`
+        applies holds here, checked one column at a time: types (via
+        :func:`~repro.db.types.validate_column`), NULLs in ``nullable=False``
+        columns, and declared uniqueness within the batch and against
+        earlier rows.  All or nothing: on a violation no row is appended,
+        and the error raised is the one inserting the rows one by one would
+        have raised, for the first offending row.
+        """
+        self._check_known(columns)
+        lengths = {len(values) for values in columns.values()}
+        if len(lengths) > 1:
+            raise DataError(
+                f"table {self.name!r}: columns of unequal lengths {sorted(lengths)}"
+            )
+        count = lengths.pop() if lengths else 0
+        prepared: dict[str, Sequence[Any]] = {}
+        batch_unique: dict[str, set[Any]] = {}
+        # (row, phase, column rank, error): a row is checked for types and
+        # NULLs in every column before any uniqueness check (phase 0 < 1).
+        faults: list[tuple[int, int, int, DataError]] = []
+        for rank, col in enumerate(self.schema.columns):
+            values = columns.get(col.name)
+            if values is None:
+                values = (None,) * count
+            stored, fault = validate_column(col.dtype, values)
+            if not col.nullable and None in stored:
+                row = next(i for i, value in enumerate(stored) if value is None)
+                fault = CellFault(
+                    row,
+                    DataError(
+                        f"{self.name}.{col.name}: NULL not allowed (nullable=False)"
+                    ),
                 )
-        # Only mutate after all unique columns were checked, so a failed
-        # insert leaves no partial trace.
-        for name, seen in self._unique_seen.items():
-            value = prepared[name]
-            if value is not None:
-                seen.add(value)
+                stored = stored[:row]
+            if fault is not None:
+                faults.append((fault.row, 0, rank, fault.error))
+            if col.unique:
+                fresh, duplicate = self._unique_batch(col.name, stored)
+                if duplicate is not None:
+                    faults.append((duplicate.row, 1, rank, duplicate.error))
+                batch_unique[col.name] = fresh
+            prepared[col.name] = stored
+        if faults:
+            raise min(faults, key=lambda fault: fault[:3])[3]
+        for name, stored in prepared.items():
+            self._columns[name].extend(stored)
+        for name, fresh in batch_unique.items():
+            self._unique_seen[name] |= fresh
+        self._row_count += count
+        return count
+
+    def _check_known(self, names: Iterable[str]) -> None:
+        unknown = set(names) - set(self._columns)
+        if unknown:
+            raise SchemaError(
+                f"table {self.name!r} has no column(s) {sorted(unknown)!r}"
+            )
+
+    def _unique_batch(
+        self, name: str, stored: Sequence[Any]
+    ) -> tuple[set[Any], CellFault | None]:
+        """The batch's non-NULL values of a unique column, and its first
+        duplicate (within the batch or against earlier rows), if any.
+
+        SQL unique constraints ignore NULLs.
+        """
+        seen = self._unique_seen[name]
+        present = [value for value in stored if value is not None]
+        fresh = set(present)
+        if len(fresh) == len(present) and seen.isdisjoint(fresh):
+            return fresh, None
+        batch: set[Any] = set()
+        for row, value in enumerate(stored):
+            if value is None:
+                continue
+            if value in seen or value in batch:
+                return fresh, CellFault(
+                    row,
+                    DataError(
+                        f"{self.name}.{name}: duplicate value {value!r} violates "
+                        "unique constraint"
+                    ),
+                )
+            batch.add(value)
+        return fresh, None
 
     # ----------------------------------------------------------------- reads
     def column_values(self, name: str) -> list[Any]:

@@ -12,7 +12,7 @@ a time.  This revision generalises both axes:
   Brute-force chunks and merge byte-range partitions ship as built-in
   kinds, and one job may mix kinds freely.
 
-* **Concurrent jobs.**  A dedicated dispatcher thread owns the result queue
+* **Concurrent jobs.**  A dedicated dispatcher thread owns the result pipes
   and routes messages to per-job states, so any number of caller threads
   can :meth:`WorkerPool.run_job` simultaneously — the shape ``repro-ind
   serve`` needs to multiplex overlapping requests over one warm fleet.
@@ -40,6 +40,14 @@ replacement, and duplicate ``done`` messages (possible only after a requeue
 race) are dropped by task id.  Requeuing is therefore always safe, and a
 worker crash costs one task's worth of repeated work, never a wrong or
 missing decision.
+
+Each worker reports over a result pipe of its own, of which it holds the
+only write end.  A worker that dies mid-message -- killed by the OOM
+killer, say -- therefore truncates nothing but its own pipe, which the
+dispatcher reads to EOF and drops.  With one result queue shared by all
+workers, such a death left the queue's cross-process write lock held (or a
+torn frame in the shared pipe) and silenced every surviving worker: the
+pool wedged.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait as wait_readable
 
 from repro.core.candidates import Candidate
 from repro.errors import DiscoveryError
@@ -325,7 +334,7 @@ def _open_warm(
     return spool, False
 
 
-def _worker_loop(task_queue, result_queue) -> None:
+def _worker_loop(task_queue, results) -> None:
     """Long-lived worker: pull tasks until the ``None`` shutdown sentinel.
 
     The loop is kind-agnostic: it resolves every task's executor through the
@@ -333,7 +342,7 @@ def _worker_loop(task_queue, result_queue) -> None:
     shared by all kinds — warm spool handles and the claim/done protocol.
     Every message is tagged with this worker's pid so the dispatcher can map
     claims to processes; ``claim`` strictly precedes ``done``/``error`` for
-    a given task (one queue, one producer — order is preserved), which is
+    a given task (one result pipe per worker — order is preserved), which is
     what makes dead-worker requeuing sound.
 
     Every completed task carries a worker-stamped timing span
@@ -348,7 +357,7 @@ def _worker_loop(task_queue, result_queue) -> None:
         task = task_queue.get()
         if task is None:
             break
-        result_queue.put(("claim", pid, task.job_id, task.task_id))
+        results.send(("claim", pid, task.job_id, task.task_id))
         try:
             _maybe_inject_fault(task)
             executor = resolve_task_kind(task.kind)
@@ -371,13 +380,9 @@ def _worker_loop(task_queue, result_queue) -> None:
                 chunk_size=len(task.candidates),
                 warm=warm,
             )
-            result_queue.put(
-                ("done", pid, task.job_id, task.task_id, outcome, warm)
-            )
+            results.send(("done", pid, task.job_id, task.task_id, outcome, warm))
         except Exception as exc:  # ship the failure, keep the worker alive
-            result_queue.put(
-                ("error", pid, task.job_id, task.task_id, repr(exc))
-            )
+            results.send(("error", pid, task.job_id, task.task_id, repr(exc)))
 
 
 # ------------------------------------------------------------------- the pool
@@ -431,7 +436,7 @@ class WorkerPool:
     """Long-lived task-execution workers behind one shared work queue.
 
     The pool is created cheaply (no processes yet) and spawns its workers —
-    plus one parent-side dispatcher thread that owns the result queue — on
+    plus one parent-side dispatcher thread that owns the result pipes — on
     the first :meth:`run_job`; it then survives any number of jobs until
     :meth:`shutdown` drains it.  One pool instance serves one parent
     process; it is not itself picklable and must not be shared across forks.
@@ -472,7 +477,8 @@ class WorkerPool:
             else multiprocessing.get_context()
         )
         self._task_queue = None
-        self._result_queue = None
+        #: Read ends of the workers' result pipes, until each reaches EOF.
+        self._readers: list = []
         self._procs: list = []
         self._ever_dead_pids: set[int] = set()
         self._started = False
@@ -532,7 +538,6 @@ class WorkerPool:
             if self._started:
                 return
             self._task_queue = self._ctx.Queue()
-            self._result_queue = self._ctx.Queue()
             for _ in range(self._workers_target):
                 self._spawn_worker()
             self._dispatcher = threading.Thread(
@@ -543,12 +548,17 @@ class WorkerPool:
             self._last_activity = time.monotonic()
 
     def _spawn_worker(self) -> None:
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_loop,
-            args=(self._task_queue, self._result_queue),
+            args=(self._task_queue, writer),
             daemon=True,
         )
         proc.start()
+        # The worker now holds the only write end, so its exit -- clean or
+        # not -- is the pipe's EOF.
+        writer.close()
+        self._readers.append(reader)
         self._procs.append(proc)
         self.stats.workers_spawned += 1
         get_registry().inc("pool_workers_spawned_total")
@@ -586,9 +596,11 @@ class WorkerPool:
                 proc.terminate()
                 proc.join(timeout=1.0)
         self._procs.clear()
-        for q in (self._task_queue, self._result_queue):
-            q.close()
-            q.cancel_join_thread()
+        for reader in self._readers:
+            reader.close()
+        self._readers.clear()
+        self._task_queue.close()
+        self._task_queue.cancel_join_thread()
 
     def reap_idle(
         self, max_idle_seconds: float = 0.0, timeout: float = 5.0
@@ -914,7 +926,7 @@ class WorkerPool:
 
     # -- dispatcher thread -------------------------------------------------
     def _dispatch_loop(self) -> None:
-        """Own the result queue: route messages, reap deaths, requeue stalls.
+        """Own the result pipes: route messages, reap deaths, requeue stalls.
 
         Worker reaping runs both on queue idleness *and* on a fixed cadence
         while messages keep flowing — under a sustained multi-job load the
@@ -923,19 +935,35 @@ class WorkerPool:
         """
         last_maintenance = time.monotonic()
         while not self._dispatcher_stop.is_set():
-            try:
-                message = self._result_queue.get(timeout=0.05)
-            except queue.Empty:
-                message = None
-            except (OSError, ValueError):  # queue closed mid-shutdown
-                return
-            try:
-                if message is not None:
+            with self._lock:
+                readers = list(self._readers)
+            if not readers:  # every worker reaped idle
+                self._dispatcher_stop.wait(0.05)
+                ready = []
+            else:
+                try:
+                    ready = wait_readable(readers, timeout=0.05)
+                except (OSError, ValueError):  # closed mid-shutdown
+                    return
+            messages = []
+            for reader in ready:
+                try:
+                    messages.append(reader.recv())
+                except (EOFError, OSError):
+                    # The worker is gone, mid-message at worst; the reaper
+                    # requeues whatever it had claimed.
                     with self._lock:
-                        self._handle_message(message)
+                        if reader in self._readers:
+                            self._readers.remove(reader)
+                    reader.close()
+            try:
+                if messages:
+                    with self._lock:
+                        for message in messages:
+                            self._handle_message(message)
                 now = time.monotonic()
                 if (
-                    message is None
+                    not messages
                     or now - last_maintenance > _MAINTENANCE_INTERVAL
                 ):
                     last_maintenance = now

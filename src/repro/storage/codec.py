@@ -35,6 +35,7 @@ around each payload (:func:`compress_payload` / :func:`decompress_payload`)
 from __future__ import annotations
 
 import zlib
+from collections.abc import Iterable
 from typing import Any
 
 from repro.errors import SpoolError
@@ -76,6 +77,28 @@ def render_value(value: Any) -> str:
     if isinstance(value, bytes):
         return value.hex()
     raise SpoolError(f"cannot render value of type {type(value).__name__}")
+
+
+#: SQL types (by ``DataType`` value) whose stored values are ``str`` and so
+#: already their own rendering.
+_RENDERED_AS_STORED = frozenset({"VARCHAR", "DATE", "CLOB"})
+
+
+def render_column(dtype: str, values: Iterable[Any]) -> Iterable[str]:
+    """Render a column's non-NULL stored values, dispatching on type once.
+
+    ``dtype`` is the column's ``DataType`` value.  The result equals
+    ``map(render_value, values)`` because a table stores every value of a
+    column as the Python type its SQL type admits: VARCHAR, DATE and CLOB
+    values are ``str`` and render as themselves, INTEGER values are ``int``
+    and render through ``str``; FLOAT and BLOB go through
+    :func:`render_value` value by value.
+    """
+    if dtype in _RENDERED_AS_STORED:
+        return values
+    if dtype == "INTEGER":
+        return map(str, values)
+    return map(render_value, values)
 
 
 def escape_line(text: str) -> str:

@@ -41,7 +41,7 @@ from repro.db.database import Database
 from repro.db.schema import AttributeRef
 from repro.errors import SpoolError
 from repro.storage.blockio import DEFAULT_BLOCK_SIZE
-from repro.storage.codec import COMPRESSION_NONE, render_value
+from repro.storage.codec import COMPRESSION_NONE, render_column
 from repro.storage.external_sort import DEFAULT_RUN_SIZE, external_sort
 from repro.storage.sorted_sets import (
     FORMAT_BINARY,
@@ -120,7 +120,7 @@ def run_export_unit(
     """
     ref = AttributeRef(unit.table, unit.column)
     sorted_values = external_sort(
-        (render_value(v) for v in unit.values),
+        render_column(unit.dtype, unit.values),
         max_items_in_memory=max_items_in_memory,
     )
     return write_value_file(
@@ -273,7 +273,7 @@ def _export_one(
         values = db.attribute_values(ref)
         scanned = len(values)
         sorted_values = external_sort(
-            (render_value(v) for v in values),
+            render_column(dtype, values),
             max_items_in_memory=max_items_in_memory,
         )
     svf = spool.add_values(ref, sorted_values, dtype=dtype)

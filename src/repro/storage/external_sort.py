@@ -16,6 +16,7 @@ import heapq
 import os
 import tempfile
 from collections.abc import Iterable, Iterator
+from itertools import islice
 
 from repro.storage.codec import escape_line, unescape_line
 
@@ -40,13 +41,15 @@ def external_sort(
             f"max_items_in_memory must be >= 1, got {max_items_in_memory!r}"
         )
     run_paths: list[str] = []
-    buffer: list[str] = []
+    stream = iter(values)
     try:
-        for value in values:
-            buffer.append(value)
-            if len(buffer) >= max_items_in_memory:
-                run_paths.append(_write_run(buffer, tmp_dir))
-                buffer = []
+        # Runs are filled a chunk at a time; a full chunk spills, exactly
+        # as it would on reaching the threshold value by value.
+        buffer = list(islice(stream, max_items_in_memory))
+        while len(buffer) >= max_items_in_memory:
+            run_paths.append(_write_run(buffer, tmp_dir))
+            buffer.clear()
+            buffer.extend(islice(stream, max_items_in_memory))
         if not run_paths:
             # Everything fit in memory: sort + dedupe directly.
             yield from sorted(set(buffer))

@@ -1,12 +1,26 @@
-"""Shared fixtures for the test suite.
+"""Shared fixtures for the test suite, and a per-test watchdog.
 
 Loading this conftest also puts ``tests/`` on ``sys.path``, which is what
 lets test modules at any depth import the shared seeded builders
 (``from seeded_dbs import build_db, build_random_db, spool_with``) — see
 ``tests/seeded_dbs.py``.
+
+The watchdog bounds every test (setup, call and teardown together) to
+``WATCHDOG_SECONDS``.  On expiry it writes every thread's stack to stderr
+and fails the test from a ``SIGALRM`` handler; should the test still not
+finish ``WATCHDOG_GRACE_SECONDS`` later -- a wait that never returns to
+the interpreter -- ``faulthandler`` dumps the stacks once more and ends
+the process.  Either way a wedged run says where it is stuck instead of
+hanging silently.
 """
 
 from __future__ import annotations
+
+import faulthandler
+import os
+import signal
+import threading
+from typing import TextIO
 
 import pytest
 
@@ -14,6 +28,57 @@ from repro.db import Column, Database, DataType, TableSchema
 from repro.db.stats import collect_column_stats
 from repro.storage.exporter import export_database
 from repro.storage.sorted_sets import SpoolDirectory
+
+
+#: Longest a single test may run before the watchdog fails it.
+WATCHDOG_SECONDS = 300
+#: Further wait, after failing the test, before the process is ended.
+WATCHDOG_GRACE_SECONDS = 60
+
+_WATCHDOG_STREAM = pytest.StashKey[TextIO]()
+
+
+def pytest_configure(config):
+    # A duplicate of the real stderr, taken before output capture redirects
+    # fd 2 for each test: the stacks must reach the terminal even when the
+    # process does not survive to report them.
+    config.stash[_WATCHDOG_STREAM] = os.fdopen(os.dup(2), "w")
+
+
+def pytest_unconfigure(config):
+    config.stash[_WATCHDOG_STREAM].close()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    if not hasattr(signal, "SIGALRM") or (
+        threading.current_thread() is not threading.main_thread()
+    ):
+        yield
+        return
+    stream = item.config.stash[_WATCHDOG_STREAM]
+
+    def expire(signum, frame):
+        stream.write(f"\nwatchdog: {item.nodeid} exceeded {WATCHDOG_SECONDS} s\n")
+        stream.flush()
+        faulthandler.dump_traceback(file=stream, all_threads=True)
+        pytest.fail(
+            f"exceeded the {WATCHDOG_SECONDS} s test watchdog; every thread's "
+            "stack was written to stderr",
+            pytrace=False,
+        )
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, WATCHDOG_SECONDS)
+    faulthandler.dump_traceback_later(
+        WATCHDOG_SECONDS + WATCHDOG_GRACE_SECONDS, exit=True, file=stream
+    )
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture()

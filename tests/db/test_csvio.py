@@ -8,7 +8,7 @@ from repro.db.csvio import load_csv_directory, write_csv_directory
 from repro.db.database import Database
 from repro.db.schema import Column, ForeignKey, TableSchema
 from repro.db.types import DataType
-from repro.errors import CsvFormatError
+from repro.errors import CsvFormatError, DataError
 
 
 @pytest.fixture()
@@ -131,3 +131,53 @@ class TestErrors:
         (path / "_schema.json").write_text(json.dumps(doc))
         with pytest.raises(CsvFormatError, match="malformed"):
             load_csv_directory(path)
+
+
+class TestTrailingNewline:
+    """A quoted cell ending in a newline is text, never a number or date.
+
+    The type patterns once ended in ``$``, which also matches just before
+    a final newline, so ``"12\\n"`` loaded as the INTEGER 12 and rendered
+    as ``"12"`` -- silently changing the column's value set.
+    """
+
+    def _dump(self, tmp_path, cells, dtype=None):
+        d = tmp_path / "d"
+        d.mkdir()
+        with open(d / "t.csv", "w", newline="", encoding="utf-8") as fh:
+            fh.write("a\n")
+            for cell in cells:
+                fh.write(f'"{cell}"\n')
+        if dtype is not None:
+            doc = {
+                "database": "d",
+                "tables": [
+                    {"name": "t", "columns": [{"name": "a", "type": dtype.value}]}
+                ],
+            }
+            (d / "_schema.json").write_text(json.dumps(doc))
+        return d
+
+    @pytest.mark.parametrize(
+        "other, cell", [("7", "12\n"), ("7.5", "1.5\n"), ("2020-01-02", "2020-01-01\n")]
+    )
+    def test_inferred_column_stays_varchar(self, tmp_path, other, cell):
+        loaded = load_csv_directory(self._dump(tmp_path, [other, cell]))
+        table = loaded.table("t")
+        assert table.column_def("a").dtype is DataType.VARCHAR
+        assert table.column_values("a") == [other, cell]
+
+    @pytest.mark.parametrize(
+        "dtype, cell, message",
+        [
+            (DataType.INTEGER, "12\n", "cannot parse '12\\n' as INTEGER"),
+            (DataType.FLOAT, "1.5\n", "cannot parse '1.5\\n' as FLOAT"),
+            (DataType.DATE, "2020-01-01\n", "DATE values must be ISO-8601"),
+        ],
+    )
+    def test_declared_column_rejects_the_cell(self, tmp_path, dtype, cell, message):
+        valid = {DataType.INTEGER: "7", DataType.FLOAT: "7", DataType.DATE: "2020-01-02"}
+        path = self._dump(tmp_path, [valid[dtype], cell], dtype=dtype)
+        with pytest.raises(DataError) as exc:
+            load_csv_directory(path)
+        assert str(exc.value).startswith(message)

@@ -125,3 +125,29 @@ class TestParseTyped:
     def test_date_validated(self):
         with pytest.raises(DataError):
             parse_typed(DataType.DATE, "not-a-date")
+
+
+class TestTrailingNewline:
+    """``$`` matches before a final newline; the type patterns must not."""
+
+    def test_validate_rejects_date_with_newline(self):
+        with pytest.raises(DataError):
+            validate_value(DataType.DATE, "2020-01-01\n")
+
+    @pytest.mark.parametrize(
+        "dtype, text",
+        [
+            (DataType.INTEGER, "12\n"),
+            (DataType.FLOAT, "1.5\n"),
+            (DataType.DATE, "2020-01-01\n"),
+        ],
+    )
+    def test_parse_rejects_trailing_newline(self, dtype, text):
+        with pytest.raises(DataError):
+            parse_typed(dtype, text)
+
+    @pytest.mark.parametrize(
+        "other, text", [("7", "12\n"), ("7.5", "1.5\n"), ("2020-01-02", "2020-01-01\n")]
+    )
+    def test_inference_keeps_the_column_text(self, other, text):
+        assert infer_type([other, text]) is DataType.VARCHAR

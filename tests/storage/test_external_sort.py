@@ -1,5 +1,6 @@
 """Tests for the bounded-memory external merge sort."""
 
+import importlib
 import os
 
 import pytest
@@ -129,6 +130,39 @@ class TestSpillStress:
         del gen
         gc.collect()
         assert os.listdir(tmp_path) == []
+
+
+class TestSpillThreshold:
+    """A run spills exactly when ``max_items_in_memory`` values are held."""
+
+    @pytest.mark.parametrize(
+        "count, limit, runs",
+        [
+            (4, 5, 0),  # fits: sorted in memory, no file I/O
+            (5, 5, 1),  # reaching the threshold spills, even at the end
+            (9, 3, 3),
+            (10, 3, 4),  # three full runs plus the remainder
+            (0, 1, 0),
+        ],
+    )
+    def test_runs_written(self, tmp_path, monkeypatch, count, limit, runs):
+        # The package re-exports the function under the module's name.
+        module = importlib.import_module("repro.storage.external_sort")
+        written = []
+        real_write_run = module._write_run
+
+        def counting_write_run(buffer, tmp_dir):
+            written.append(len(buffer))
+            return real_write_run(buffer, tmp_dir)
+
+        monkeypatch.setattr(module, "_write_run", counting_write_run)
+        data = [f"{i:03d}" for i in reversed(range(count))]
+        out = list(
+            external_sort(data, max_items_in_memory=limit, tmp_dir=str(tmp_path))
+        )
+        assert out == sorted(data)
+        assert len(written) == runs
+        assert all(size <= limit for size in written)
 
 
 class TestValidation:
