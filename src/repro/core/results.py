@@ -55,9 +55,6 @@ class DiscoveryResult:
     export_values_scanned: int = 0
     export_values_written: int = 0
     spool_cache_hit: bool = False  # export skipped: cached spool reused
-    #: ``parallel_export=True`` was requested but the spool-cache hit made the
-    #: export a no-op — the flag was honoured by *skipping*, not silently lost.
-    export_skipped: bool = False
     validation_workers: int = 1
     #: Adaptive router's verdict (engine name, predicted per-engine seconds,
     #: calibration source, actual seconds).  Always a dict: fixed-strategy
@@ -65,29 +62,21 @@ class DiscoveryResult:
     #: "routing_seconds": 0.0}`` so consumers can index ``routing_seconds``
     #: without guards.
     engine_choice: dict | None = None
-    #: Worker-pool counters (tasks run, requeues, warm spool-handle hits,
-    #: tasks by kind) summed over every pipeline phase that ran on a pool —
-    #: spool export, sampling pretest, validation — so ``tasks_by_kind``
-    #: covers the whole run; ``None`` when no phase used a pool.
+    #: Worker-pool counters of the validation phase (tasks run, requeues,
+    #: warm spool-handle hits, tasks by kind); ``None`` when validation ran
+    #: in-process.
     pool_stats: dict | None = None
     #: Serialised span tree of this run (:meth:`repro.obs.trace.Tracer.to_dict`)
     #: when ``DiscoveryConfig.trace`` was on; ``None`` otherwise.  Purely
     #: additive: every other field is byte-identical with tracing on or off.
     trace: dict | None = None
-    #: Scheduling summary of an overlapped run (``DiscoveryConfig.overlap``):
-    #: graph shape (nodes, edges, cancellations), tasks per phase, observed
-    #: per-kind peak concurrency and the seconds during which tasks of
-    #: different phases ran simultaneously.  ``None`` when the run used
-    #: phase barriers.  Concurrency numbers are scheduling observations,
-    #: not results — agreement views drop this key like ``timings``.
-    overlap: dict | None = None
     #: Delta-planner accounting of an incremental run
     #: (``DiscoveryConfig.incremental``): ``mode`` (``"delta"`` or
     #: ``"full"`` with a ``reason`` for falling back), and under delta the
     #: work avoided — ``attributes_changed``, ``candidates_revalidated``,
-    #: ``decisions_reused``.  ``None`` on non-incremental runs.  Like
-    #: ``overlap``, this is work accounting, not an answer: equivalence
-    #: views drop it when comparing against a full re-run.
+    #: ``decisions_reused``.  ``None`` on non-incremental runs.  This is
+    #: work accounting, not an answer: equivalence views drop it when
+    #: comparing against a full re-run.
     delta: dict | None = None
     #: Prior-run carriers for the *next* incremental run — deliberately not
     #: serialised (they are inputs to delta planning, not results): the
@@ -161,11 +150,9 @@ class DiscoveryResult:
             "export_values_scanned": self.export_values_scanned,
             "export_values_written": self.export_values_written,
             "spool_cache_hit": self.spool_cache_hit,
-            "export_skipped": self.export_skipped,
             "validation_workers": self.validation_workers,
             "engine_choice": self.engine_choice,
             "pool": self.pool_stats,
-            "overlap": self.overlap,
         }
         if self.delta is not None:
             doc["delta"] = self.delta

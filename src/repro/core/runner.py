@@ -119,23 +119,9 @@ class DiscoveryConfig:
       ``None``), ``keep_spool``, ``spool_format`` ("binary" v2 blocks or
       "text" v1), ``spool_block_size`` (values per v2 block),
       ``export_workers`` (thread-parallel attribute export),
-      ``max_items_in_memory`` (external-sort run size).
-    * **Pooled pipeline** — ``parallel_export`` dispatches the export
-      phase as ``spool-export`` pool tasks, ``parallel_pretest`` the
-      sampling pretest as ``sample-pretest`` tasks (requires
-      ``sampling_size``); both ride the same worker fleet as parallel
-      validation — the session pool when one is lent, else one per-call
-      pool shared by every phase of the run — and leave all results
-      byte-identical to the in-process phases.  ``overlap`` goes further:
-      it drops the joins *between* the phases, planning export, pretest
-      and (for fixed brute-force/merge runs) validation as one
-      dependency-scheduled task graph drained by a single pool — a
-      pretest chunk dispatches the moment its two spool files land, a
-      validation chunk the moment its pretest verdicts land (refuted
-      candidates are dropped at release time; fully-refuted chunks are
-      cancelled before dispatch).  Results stay byte-identical to the
-      barriered pipeline; ``DiscoveryResult.overlap`` reports the graph
-      shape and observed cross-phase concurrency.
+      ``max_items_in_memory`` (external-sort run size, >= 1).  Export and
+      the sampling pretest always run in the calling process; only
+      validation can use worker processes.
     * **Validation** — ``strategy`` (one of :data:`ALL_STRATEGIES`;
       ``"adaptive"`` routes each run to the predicted-cheapest of the
       brute-force and merge engines), ``adaptive`` (cost-model routing
@@ -169,8 +155,7 @@ class DiscoveryConfig:
       savings as ``DiscoveryResult.delta``.  The answer is byte-identical
       to a full re-run — see ``docs/incremental.md`` for the exactness
       argument.  Requires an external strategy; incompatible with
-      ``use_transitivity`` (inference order spans reused decisions) and
-      ``overlap`` (the graph scheduler plans phases whole).
+      ``use_transitivity`` (inference order spans reused decisions).
 
     Invalid combinations are rejected by :meth:`validated`, which every
     entry point calls first.
@@ -191,9 +176,6 @@ class DiscoveryConfig:
     spool_compression: str = COMPRESSION_NONE  # "zlib" writes v3 frames
     mmap_reads: bool | str = "auto"  # mmap-backed block cursors (binary only)
     export_workers: int = 1  # thread-parallel attribute spooling
-    parallel_export: bool = False  # export as spool-export pool tasks
-    parallel_pretest: bool = False  # sampling pretest as pool tasks
-    overlap: bool = False  # dependency-scheduled graph, no phase barriers
     validation_workers: int = 1  # worker processes (brute-force / merge-s-p)
     adaptive: bool = False  # cost-model routing pinned to this strategy
     range_split: int = 0  # byte-range merge split (0 = off; needs workers > 1)
@@ -305,7 +287,13 @@ class DiscoveryConfig:
                 "spool compression requires the binary spool format; "
                 f"the {self.spool_format!r} format has no block frames"
             )
-        if self.mmap_reads not in (True, False, "auto"):
+        # Identity, not equality: 1 == True and 0 == False would otherwise
+        # slip through and dodge the text-format check below.
+        if not (
+            self.mmap_reads is True
+            or self.mmap_reads is False
+            or self.mmap_reads == "auto"
+        ):
             raise DiscoveryError(
                 f"mmap_reads must be True, False or 'auto', got "
                 f"{self.mmap_reads!r}"
@@ -318,6 +306,8 @@ class DiscoveryConfig:
             )
         if self.export_workers < 1:
             raise DiscoveryError("export_workers must be >= 1")
+        if self.max_items_in_memory < 1:
+            raise DiscoveryError("max_items_in_memory must be >= 1")
         if self.validation_workers < 1:
             raise DiscoveryError("validation_workers must be >= 1")
         if self.validation_workers > 1 and self.strategy not in PARALLEL_STRATEGIES:
@@ -329,33 +319,6 @@ class DiscoveryConfig:
             raise DiscoveryError(
                 "transitivity pruning is order-dependent and cannot run "
                 "across validation workers"
-            )
-        if self.parallel_export and self.strategy not in EXTERNAL_STRATEGIES:
-            raise DiscoveryError(
-                "parallel_export spools value files and therefore requires "
-                f"an external strategy, not {self.strategy!r}"
-            )
-        if self.parallel_pretest and self.strategy not in EXTERNAL_STRATEGIES:
-            raise DiscoveryError(
-                "parallel_pretest reads spool files and therefore requires "
-                f"an external strategy, not {self.strategy!r}"
-            )
-        if self.parallel_pretest and not self.sampling_size:
-            raise DiscoveryError(
-                "parallel_pretest dispatches the sampling pretest and "
-                "therefore requires sampling_size > 0"
-            )
-        if self.overlap and self.strategy not in PARALLEL_STRATEGIES:
-            raise DiscoveryError(
-                "overlapped discovery schedules pool tasks and therefore "
-                f"requires one of {sorted(PARALLEL_STRATEGIES)}, "
-                f"not {self.strategy!r}"
-            )
-        if self.overlap and self.use_transitivity:
-            raise DiscoveryError(
-                "transitivity pruning is order-dependent; overlapped "
-                "validation chunks complete in scheduling order, so the "
-                "two cannot combine"
             )
         if self.skip_scans and self.strategy not in (
             "brute-force",
@@ -390,12 +353,6 @@ class DiscoveryConfig:
                 "transitivity pruning infers decisions in validation order, "
                 "which a delta run does not replay; the two cannot combine"
             )
-        if self.incremental and self.overlap:
-            raise DiscoveryError(
-                "overlapped discovery plans its task graph over the full "
-                "candidate set before the delta plan exists; run "
-                "incremental with phase barriers"
-            )
         if self.candidate_mode == "all-pairs" and self.strategy == "sql-join":
             raise DiscoveryError(
                 "the join approach requires unique referenced attributes and "
@@ -418,21 +375,16 @@ def discover_inds(
     and every counter the paper reports.  Which phases run is governed by
     the config — see :class:`DiscoveryConfig` for the per-flag breakdown.
 
+    Export and the sampling pretest always run in the calling process.
     ``pool`` lends a persistent :class:`~repro.parallel.pool.WorkerPool` to
-    every pool-capable phase of the pipeline: the parallel validation
-    engines (``strategy`` in :data:`PARALLEL_STRATEGIES` with
-    ``validation_workers > 1`` — brute force dispatches candidate chunks,
-    merge-single-pass dispatches merge partitions), the export phase
-    (``parallel_export`` — ``spool-export`` tasks) and the sampling
-    pretest (``parallel_pretest`` — ``sample-pretest`` tasks), all as
-    typed tasks on the same warm fleet; the pool is borrowed, never shut
-    down here.  Without it, a run that pools its export or pretest builds
-    **one** per-call pool shared by all its phases (drained before
-    returning), and plain parallel validation builds its per-call pool
-    inside the engine.  :class:`DiscoverySession` manages the pool so
-    callers rarely pass it directly.  ``DiscoveryResult.pool_stats`` sums
-    the per-phase pool deltas, so ``tasks_by_kind`` covers the whole
-    pipeline.
+    the parallel validation engines (``strategy`` in
+    :data:`PARALLEL_STRATEGIES` with ``validation_workers > 1`` — brute
+    force dispatches candidate chunks, merge-single-pass dispatches merge
+    partitions); the pool is borrowed, never shut down here.  Without it,
+    parallel validation builds a per-call pool inside the engine.
+    :class:`DiscoverySession` manages the pool so callers rarely pass it
+    directly.  ``DiscoveryResult.pool_stats`` is the validation job's pool
+    delta (``None`` when validation ran in-process).
 
     ``prior`` feeds the delta planner of an ``incremental`` run: a result
     of a previous ``incremental`` run over the same database (any mode —
@@ -446,8 +398,8 @@ def discover_inds(
     timings = PhaseTimings()
     tracer = Tracer() if cfg.trace else None
     # The root span covers the pipeline phases only; it is sealed (in the
-    # finally below) before pool shutdown and spool cleanup run, so trace
-    # coverage measures the work, not the teardown.
+    # finally below) before spool cleanup runs, so trace coverage measures
+    # the work, not the teardown.
     trace_stack = ExitStack()
     trace_stack.enter_context(
         maybe_span(tracer, "discover", database=db.name, strategy=cfg.strategy)
@@ -496,59 +448,14 @@ def discover_inds(
     inferred_sat = 0
     inferred_unsat = 0
     spool_cache_hit = False
-    export_pool_stats: dict | None = None
-    pretest_pool_stats: dict | None = None
     engine_decision = None
-    owned_pool = None
-    # The setup span times the work between the candidate and export
-    # phases — attribute planning plus (on pooled runs) the lazy import of
-    # the parallel machinery, which dominates a cold first call and would
-    # otherwise show up as an untimed hole in the trace.
+    # The setup span times the attribute planning between the candidate
+    # and export phases, so the trace has no untimed hole there.
     with maybe_span(tracer, "setup"):
         deps = dependent_attributes(column_stats)
         refs = referenced_attributes(column_stats)
-        if pool is None and (
-            cfg.parallel_export or cfg.parallel_pretest or cfg.overlap
-        ):
-            # One per-call fleet for the whole pipeline: export, pretest and
-            # validation jobs all dispatch to it instead of each phase paying
-            # its own pool startup.
-            from repro.parallel.pool import WorkerPool
-
-            owned_pool = pool = WorkerPool(cfg.validation_workers)
-        if cfg.overlap:
-            # Imported inside the setup span, like the rest of the parallel
-            # machinery: a cold first import must not open a hole in the
-            # trace between setup and the overlapped section.
-            from repro.parallel.overlap import run_overlapped
-    overlap_run = None
     try:
-        if cfg.overlap:
-            # One graph, one pool, no inter-phase join: run_overlapped
-            # drains export + pretest (+ validation for fixed brute-force /
-            # merge runs) and hands back everything the barriered blocks
-            # below would have produced.
-            overlap_run = run_overlapped(
-                db, cfg, candidates, column_stats, pool, tracer
-            )
-            spool = overlap_run.spool
-            spool_path = overlap_run.spool_path
-            cleanup_dir = overlap_run.cleanup_dir
-            spool_cache_hit = overlap_run.spool_cache_hit
-            export_pool_stats = overlap_run.pool_stats
-            export_scanned = overlap_run.export_stats.values_scanned
-            export_written = overlap_run.export_stats.values_written
-            candidates = overlap_run.survivors
-            sampling_refuted = len(overlap_run.sampling_refuted)
-            # Phase attribution when phases interleave: export gets its
-            # task window; the rest of the graph's wall clock lands on the
-            # pretest bucket (full-overlap validation has no exclusive
-            # window of its own — see timings.validate_seconds below).
-            timings.export_seconds = overlap_run.export_seconds
-            pretest_seconds = max(
-                0.0, overlap_run.graph_seconds - overlap_run.export_seconds
-            )
-        elif cfg.strategy in EXTERNAL_STRATEGIES:
+        if cfg.strategy in EXTERNAL_STRATEGIES:
             with maybe_span(tracer, "export") as export_span, (
                 Stopwatch()
             ) as clock:
@@ -558,75 +465,39 @@ def discover_inds(
                     # only changed ones re-export), so published entries
                     # stay as complete as a full run's — a later exact hit
                     # must find every attribute it needs.
-                    (
-                        spool,
-                        spool_path,
-                        export_stats,
-                        spool_cache_hit,
-                        export_pool_stats,
-                        export_spans,
-                    ) = _cached_export(
-                        db,
-                        cfg,
-                        all_candidates,
-                        column_stats,
-                        pool,
-                        tracer,
-                        fingerprints=fingerprints,
+                    spool, spool_path, export_stats, spool_cache_hit = (
+                        _cached_export(
+                            db,
+                            cfg,
+                            all_candidates,
+                            column_stats,
+                            tracer,
+                            fingerprints=fingerprints,
+                        )
                     )
                 else:
-                    (
-                        spool,
-                        spool_path,
-                        cleanup_dir,
-                        export_stats,
-                        export_pool_stats,
-                        export_spans,
-                    ) = _export(db, cfg, candidates, pool)
+                    spool, spool_path, cleanup_dir, export_stats = _export(
+                        db, cfg, candidates
+                    )
                 if export_span is not None:
                     export_span.attrs["cache_hit"] = spool_cache_hit
-                    tracer.add_task_spans(export_span.span_id, export_spans)
             timings.export_seconds = clock.elapsed
             export_scanned = export_stats.values_scanned
             export_written = export_stats.values_written
 
-        if not cfg.overlap:
-            with maybe_span(tracer, "pretest") as pretest_span, (
-                Stopwatch()
-            ) as clock:
-                if cfg.sampling_size and spool is not None:
-                    if cfg.parallel_pretest:
-                        (
-                            candidates,
-                            sampling_refuted_list,
-                            pretest_pool_stats,
-                            pretest_spans,
-                        ) = _sampling_pretest_pooled(
-                            spool, cfg, candidates, pool
-                        )
-                        if pretest_span is not None:
-                            tracer.add_task_spans(
-                                pretest_span.span_id, pretest_spans
-                            )
-                    else:
-                        candidates, sampling_refuted_list = _sampling_pretest(
-                            spool, cfg, candidates
-                        )
-                    sampling_refuted = len(sampling_refuted_list)
-            pretest_seconds = clock.elapsed
+        with maybe_span(tracer, "pretest"), Stopwatch() as clock:
+            if cfg.sampling_size and spool is not None:
+                candidates, sampling_refuted_list = _sampling_pretest(
+                    spool, cfg, candidates
+                )
+                sampling_refuted = len(sampling_refuted_list)
+        pretest_seconds = clock.elapsed
         # Engine routing is planning work, not validation work: it runs
         # outside the validate stopwatch so validate_seconds stays
         # comparable across fixed and adaptive runs, and its own cost is
         # surfaced as engine_choice["routing_seconds"].
         routing_seconds = 0.0
-        if overlap_run is not None and overlap_run.validation is not None:
-            # Full-overlap mode: validation already rode the graph.  Its
-            # wall clock is inseparable from the pretest tail it overlapped
-            # with, so the graph's post-export time (already attributed to
-            # pretest_seconds above) is the whole validate bucket.
-            validation = overlap_run.validation
-            timings.validate_seconds = pretest_seconds
-        elif cfg.incremental and not candidates:
+        if cfg.incremental and not candidates:
             # The delta plan (or pretests) left nothing to validate:
             # synthesise the empty validation result instead of spinning an
             # engine up for zero candidates.  Only the work-accounting
@@ -653,13 +524,16 @@ def discover_inds(
                         route_span.attrs["strategy"] = engine_decision.strategy
                         route_span.attrs["workers"] = engine_decision.workers
                 routing_seconds = clock.elapsed
-            else:
-                validator = _build_validator(
-                    db, cfg, spool, column_stats, pool
-                )
             with maybe_span(tracer, "validate") as validate_span, (
                 Stopwatch()
             ) as clock:
+                if not cfg.is_adaptive:
+                    # Built inside the span: a pooled engine's first use
+                    # imports repro.parallel, which would otherwise open an
+                    # untimed hole in the trace.
+                    validator = _build_validator(
+                        db, cfg, spool, column_stats, pool
+                    )
                 validation = validator.validate(candidates)
                 if validate_span is not None:
                     validate_span.attrs["validator"] = (
@@ -669,23 +543,13 @@ def discover_inds(
                         tracer.add_task_spans(
                             validate_span.span_id, validation.task_spans
                         )
-        if overlap_run is None or overlap_run.validation is None:
-            timings.validate_seconds = pretest_seconds + clock.elapsed
+        timings.validate_seconds = pretest_seconds + clock.elapsed
     finally:
         trace_stack.close()  # seal the root span before teardown work
-        if owned_pool is not None:
-            owned_pool.shutdown()
         if cleanup_dir is not None and not cfg.keep_spool:
             cleanup_dir.cleanup()
             spool_path = None
 
-    if owned_pool is not None and "pool_warm" in validation.stats.extra:
-        # The run owned its fleet: honest reporting says the validation
-        # phase did not run on a *warm* (cross-call) pool.
-        validation.stats.extra["pool_warm"] = 0.0
-    pool_stats = _merged_pool_stats(
-        export_pool_stats, pretest_pool_stats, validation.pool
-    )
     # engine_choice is always a dict so downstream consumers can index
     # "routing_seconds" without .get guards; a fixed-strategy run reports
     # the null choice (no engine picked, zero routing cost) — deterministic
@@ -752,16 +616,10 @@ def discover_inds(
         export_values_scanned=export_scanned,
         export_values_written=export_written,
         spool_cache_hit=spool_cache_hit,
-        # A cache hit silently skips the export phase; when the caller asked
-        # for a *pooled* export, say so explicitly instead of leaving an
-        # absent "spool-export" task kind as the only clue.
-        export_skipped=spool_cache_hit
-        and (cfg.parallel_export or cfg.overlap),
         validation_workers=cfg.validation_workers,
         engine_choice=engine_choice,
-        pool_stats=pool_stats,
+        pool_stats=validation.pool,
         trace=tracer.to_dict() if tracer is not None else None,
-        overlap=overlap_run.overlap_doc if overlap_run is not None else None,
         delta=delta_plan.doc if delta_plan is not None else None,
         prior_fingerprints=fingerprints,
         prior_sampling_refuted=prior_refuted,
@@ -907,45 +765,15 @@ def _plan_delta(
     )
 
 
-def _export_into(db, cfg: DiscoveryConfig, root: str, needed, pool, spool=None):
-    """Export ``needed`` into ``root`` — pooled tasks or in-process threads.
+def _export_into(db, cfg: DiscoveryConfig, root: str, needed, spool=None):
+    """Export ``needed`` into ``root``; returns ``(spool, export_stats)``.
 
-    The one switch between the two export engines, shared by the
-    temporary-directory and cache-staging paths.  Returns
-    ``(spool, export_stats, pool_stats_dict_or_None, task_spans)``; both
-    engines produce byte-identical spool contents, index documents and
-    statistics (``task_spans`` is empty for the in-process engine —
-    there are no workers to stamp them).
-
-    ``spool`` passes a pre-created directory that may already hold
-    attributes (a partial rebuild that adopted unchanged value files from
-    a donor cache entry); both engines then skip the present attributes
-    and export only the rest into it.
+    Shared by the temporary-directory and cache-staging paths.  ``spool``
+    passes a pre-created directory that may already hold attributes (a
+    partial rebuild that adopted unchanged value files from a donor cache
+    entry); the export then skips the present attributes and writes only
+    the rest into it.
     """
-    if cfg.parallel_export:
-        from repro.parallel.export import pooled_export, pooled_export_into
-
-        if spool is not None:
-            return pooled_export_into(
-                db,
-                spool,
-                workers=cfg.validation_workers,
-                pool=pool,
-                attributes=needed,
-                max_items_in_memory=cfg.max_items_in_memory,
-            )
-        return pooled_export(
-            db,
-            root,
-            workers=cfg.validation_workers,
-            pool=pool,
-            attributes=needed,
-            max_items_in_memory=cfg.max_items_in_memory,
-            spool_format=cfg.spool_format,
-            block_size=cfg.spool_block_size,
-            compression=cfg.spool_compression,
-            mmap_reads=cfg.resolved_mmap_reads,
-        )
     if spool is not None:
         export_stats = export_into(
             db,
@@ -954,8 +782,8 @@ def _export_into(db, cfg: DiscoveryConfig, root: str, needed, pool, spool=None):
             max_items_in_memory=cfg.max_items_in_memory,
             workers=cfg.export_workers,
         )
-        return spool, export_stats, None, []
-    spool, export_stats = export_database(
+        return spool, export_stats
+    return export_database(
         db,
         root,
         attributes=needed,
@@ -966,10 +794,9 @@ def _export_into(db, cfg: DiscoveryConfig, root: str, needed, pool, spool=None):
         compression=cfg.spool_compression,
         mmap_reads=cfg.resolved_mmap_reads,
     )
-    return spool, export_stats, None, []
 
 
-def _export(db: Database, cfg: DiscoveryConfig, candidates: list[Candidate], pool):
+def _export(db: Database, cfg: DiscoveryConfig, candidates: list[Candidate]):
     """Spool exactly the attributes the surviving candidates touch."""
     needed = _needed_attributes(candidates)
     cleanup: tempfile.TemporaryDirectory | None = None
@@ -979,10 +806,8 @@ def _export(db: Database, cfg: DiscoveryConfig, candidates: list[Candidate], poo
     else:
         root = cfg.spool_dir
         Path(root).mkdir(parents=True, exist_ok=True)
-    spool, export_stats, pool_stats, task_spans = _export_into(
-        db, cfg, root, needed, pool
-    )
-    return spool, root, cleanup, export_stats, pool_stats, task_spans
+    spool, export_stats = _export_into(db, cfg, root, needed)
+    return spool, root, cleanup, export_stats
 
 
 def _cached_export(
@@ -990,26 +815,24 @@ def _cached_export(
     cfg,
     candidates: list[Candidate],
     column_stats,
-    pool,
     tracer=None,
     fingerprints=None,
 ):
     """Reuse a cached spool for an unchanged catalog, or export and cache it.
 
-    Returns ``(spool, path, export_stats, hit, pool_stats, task_spans)``.
-    On a hit the export phase performs *zero* database reads and zero spool
-    writes — ``export_stats`` stays all-zero, which the acceptance tests
-    assert.  The entry lives in the cache directory (never a temporary
+    Returns ``(spool, path, export_stats, hit)``.  On a hit the export
+    phase performs *zero* database reads and zero spool writes —
+    ``export_stats`` stays all-zero, which the acceptance tests assert.  The entry lives in the cache directory (never a temporary
     directory), so the normal spool-cleanup path must not and does not
     touch it.  With a ``tracer`` the cache probe is wrapped in a
     ``cache-lookup`` span (a child of the enclosing export span) so hits
     and misses are visible on the timeline.
 
     A miss rebuilds in a private staging directory and publishes with one
-    atomic rename only after the export completed — pooled or not — so a
-    worker (or whole-process) death mid-export can never expose a
-    half-written entry: the staging directory carries no ``catalog_hash``
-    and is invisible to :meth:`~repro.storage.spool_cache.SpoolCache.lookup`
+    atomic rename only after the export completed, so an export that fails
+    (or a process that dies) mid-way can never expose a half-written
+    entry: the staging directory carries no ``catalog_hash`` and is
+    invisible to :meth:`~repro.storage.spool_cache.SpoolCache.lookup`
     (``repro-ind cache list`` reports such leftovers as orphans).
 
     ``fingerprints`` (a per-attribute content map, passed by incremental
@@ -1048,7 +871,7 @@ def _cached_export(
         if lookup_span is not None:
             lookup_span.attrs["hit"] = cached is not None
     if cached is not None:
-        return cached, str(cached.root), ExportStats(), True, None, []
+        return cached, str(cached.root), ExportStats(), True
     staging = cache.prepare(fingerprint)
     staged_spool = None
     donor = None
@@ -1072,22 +895,15 @@ def _cached_export(
             mmap_reads=cfg.resolved_mmap_reads,
         )
         SpoolCache.adopt(staged_spool, donor_spool, reusable)
-    spool, export_stats, pool_stats, task_spans = _export_into(
-        db, cfg, str(staging), needed, pool, spool=staged_spool
+    spool, export_stats = _export_into(
+        db, cfg, str(staging), needed, spool=staged_spool
     )
     spool = cache.publish(
         fingerprint, spool, database=db.name, fingerprints=stamp_fingerprints
     )
-    return spool, str(spool.root), export_stats, False, pool_stats, task_spans
+    return spool, str(spool.root), export_stats, False
 
 
-def _merged_pool_stats(*parts: dict | None) -> dict | None:
-    """Sum the per-phase pool deltas into the run's ``pool_stats``."""
-    if all(part is None for part in parts):
-        return None
-    from repro.parallel.pool import merge_pool_stat_dicts
-
-    return merge_pool_stat_dicts(list(parts))
 
 
 def _route_adaptive(cfg, spool, candidates, pool):
@@ -1212,50 +1028,6 @@ def _sampling_pretest(spool, cfg, candidates):
     return survivors, refuted
 
 
-def _sampling_pretest_pooled(spool, cfg, candidates, pool):
-    """The sampling pretest as ``sample-pretest`` pool tasks.
-
-    Chunks are planned per dependent attribute
-    (:meth:`~repro.parallel.planner.ShardPlanner.plan_pretest_chunks`) so a
-    chunk's worker draws each reservoir sample once; every candidate's
-    verdict is a pure function of the spool and the seed, so the surviving
-    and refuted sets — in original candidate order — are identical to
-    :func:`_sampling_pretest` at every worker count.  Returns
-    ``(survivors, refuted, pool_stats_dict, task_spans)``.
-    """
-    from repro.parallel.planner import ShardPlanner
-    from repro.parallel.pool import run_specs
-    from repro.parallel.tasks import KIND_SAMPLE_PRETEST, TaskSpec
-
-    ordered = list(dict.fromkeys(candidates))
-    if not ordered:
-        return [], [], None, []
-    chunks = ShardPlanner(spool).plan_pretest_chunks(
-        ordered, cfg.validation_workers
-    )
-    specs = [
-        TaskSpec(
-            kind=KIND_SAMPLE_PRETEST,
-            candidates=chunk.candidates,
-            payload=(cfg.sampling_size, cfg.sampling_seed),
-        )
-        for chunk in chunks
-    ]
-    job, _ = run_specs(pool, cfg.validation_workers, str(spool.root), specs)
-    decided: dict[Candidate, bool] = {}
-    for outcome in job.outcomes:
-        decided.update(outcome.decisions)
-    survivors: list[Candidate] = []
-    refuted: list[Candidate] = []
-    for candidate in ordered:
-        if candidate not in decided:
-            raise DiscoveryError(
-                f"no pretest task covered candidate {candidate}"
-            )
-        (survivors if decided[candidate] else refuted).append(candidate)
-    return survivors, refuted, job.stats.as_dict(), job.task_spans
-
-
 def _validate_sequential(db, cfg, spool, candidates, column_stats):
     """Sequential validation with online transitivity pruning (Sec. 6)."""
     pruner = TransitivityPruner()
@@ -1304,13 +1076,11 @@ class DiscoverySession:
     one shared pool (``repro-ind serve --max-inflight`` relies on exactly
     this), each request getting its own deterministic result.
 
-    Config flags that matter here: ``validation_workers`` sizes the pool;
-    the pool engages for parallel validation (``strategy`` of
-    ``"brute-force"`` or ``"merge-single-pass"`` with more than one
-    worker) and for the pooled pipeline phases (``parallel_export`` /
-    ``parallel_pretest``), so a fully pooled session runs export, pretest
-    and validation on one warm fleet; other configurations run exactly as
-    in :func:`discover_inds` with no pool ever created.
+    Config flags that matter here: ``validation_workers`` sizes the pool,
+    which engages only for parallel validation (``strategy`` in
+    :data:`PARALLEL_STRATEGIES` with more than one worker); other
+    configurations run exactly as in :func:`discover_inds` with no pool
+    ever created.
     ``reuse_spool``/``cache_dir`` pair well with a session because a cache
     hit keeps the spool *path* stable across runs, which is what lets
     workers reuse their handles.
@@ -1369,7 +1139,7 @@ class DiscoverySession:
 
         ``config`` overrides the session default for this run only; the
         pool is created by the first run that can use it (parallel
-        validation, pooled export, or pooled pretest), sized by that run's
+        validation), sized by that run's
         ``validation_workers``, and never resized afterwards — resizing a
         live fleet would defeat the warm handles the session exists to
         preserve.  Safe to call from several threads at once; concurrent
@@ -1406,22 +1176,14 @@ class DiscoverySession:
 
         A run can use the pool when parallel validation applies
         (``strategy`` in :data:`PARALLEL_STRATEGIES` with more than one
-        worker) *or* when it pools an earlier phase
-        (``parallel_export`` / ``parallel_pretest`` — those engage even at
-        one worker, so the task path is exercised at every worker count).
-        Creation is lock-protected so concurrent first requests cannot
-        race two fleets into existence (one would leak its processes).
+        worker).  Creation is lock-protected so concurrent first requests
+        cannot race two fleets into existence (one would leak its
+        processes).
         """
-        wants_pool = (
-            (
-                cfg.strategy in PARALLEL_STRATEGIES
-                and cfg.validation_workers > 1
-            )
-            or cfg.parallel_export
-            or cfg.parallel_pretest
-            or cfg.overlap
-        )
-        if not wants_pool:
+        if (
+            cfg.strategy not in PARALLEL_STRATEGIES
+            or cfg.validation_workers == 1
+        ):
             return None
         with self._pool_lock:
             if self._pool is None:

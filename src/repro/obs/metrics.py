@@ -61,7 +61,7 @@ class MetricsRegistry:
     """Thread-safe store of counters, gauges and fixed-bucket histograms.
 
     All mutators take ``**labels`` and fold them into the series key, so
-    ``reg.inc("pool_tasks_total", kind="spool-export")`` and
+    ``reg.inc("pool_tasks_total", kind="merge-partition")`` and
     ``reg.inc("pool_tasks_total", kind="brute-force")`` are independent
     series.  Every operation is a dict update under one lock — cheap
     enough to leave on unconditionally.

@@ -129,38 +129,6 @@ class Tracer:
             with self._lock:
                 self._spans.append(sp)
 
-    def add_span(
-        self,
-        parent_id: int | None,
-        name: str,
-        start: float,
-        duration: float,
-        **attrs,
-    ) -> int:
-        """Record a span retroactively from explicit timestamps.
-
-        The overlapped pipeline cannot wrap its phases in :meth:`span`
-        context managers — export, pretest and validation tasks interleave
-        on one pool, so each phase's true window is only known after the
-        graph drains (min task start → max task end).  This records such a
-        reconstructed span directly under ``parent_id`` and returns its
-        fresh id so worker task spans can be adopted beneath it with
-        :meth:`add_task_spans`.  ``start`` is a raw ``time.monotonic()``
-        reading, like every other span.
-        """
-        with self._lock:
-            sp = Span(
-                span_id=next(self._ids),
-                parent_id=parent_id,
-                name=name,
-                start=start,
-                duration=duration,
-                attrs=dict(attrs),
-                pid=os.getpid(),
-            )
-            self._spans.append(sp)
-            return sp.span_id
-
     def add_task_spans(self, parent_id: int | None, spans) -> None:
         """Adopt worker-stamped span dicts (see :func:`stamp`) as children.
 

@@ -6,14 +6,8 @@ different axes, both dispatched through one shared task substrate:
 ===================  =====================================================
 ``tasks``            The typed task model: :class:`TaskSpec` /
                      :class:`PoolTask`, the task-kind registry
-                     (:func:`register_task_kind`), and the four built-in
-                     kinds — brute-force chunks, merge partitions, spool
-                     export units, and sampling-pretest chunks.
-``export``           :func:`pooled_export` — the export phase as
-                     ``spool-export`` tasks: workers render, sort and
-                     atomically write per-attribute value files; the
-                     parent assembles the index.  Byte-identical output
-                     to the sequential exporter.
+                     (:func:`register_task_kind`), and the two built-in
+                     kinds — brute-force chunks and merge partitions.
 ``planner``          :class:`ShardPlanner` — cost-balanced partitions of
                      the candidate set, sized by spool value counts: whole
                      shards (LPT), small work-stealing chunks, or merge
@@ -28,12 +22,6 @@ different axes, both dispatched through one shared task substrate:
                      registered task kind, serves concurrent jobs from
                      multiple caller threads, requeues the tasks of dead
                      workers, keeps spool handles warm across kinds.
-``overlap``          :func:`run_overlapped` — the whole pipeline as one
-                     dependency-scheduled task graph on a single pool:
-                     export, sampling pretest and (fixed-engine runs)
-                     validation with no inter-phase join; pretest verdicts
-                     gate validation tasks at release time.  Byte-identical
-                     results to the barriered pipeline.
 ``engine``           :class:`ProcessPoolValidationEngine` — brute-force
                      chunks dispatched through a pool (per-call or
                      persistent); decisions and summed I/O identical to
@@ -51,7 +39,6 @@ file), never inherit handles — see the picklability contract on
 """
 
 from repro.parallel.engine import ProcessPoolValidationEngine
-from repro.parallel.export import pooled_export
 from repro.parallel.merge import (
     ByteRangeCursor,
     PartitionSpoolView,
@@ -73,20 +60,10 @@ from repro.parallel.planner import (
     load_calibration,
     pack_cost_groups,
 )
-from repro.parallel.overlap import OverlapRun, run_overlapped
-from repro.parallel.pool import (
-    GraphResult,
-    JobResult,
-    PoolStats,
-    WorkerPool,
-    merge_pool_stat_dicts,
-)
+from repro.parallel.pool import JobResult, PoolStats, WorkerPool
 from repro.parallel.tasks import (
-    GraphNode,
     KIND_BRUTE_FORCE,
     KIND_MERGE_PARTITION,
-    KIND_SAMPLE_PRETEST,
-    KIND_SPOOL_EXPORT,
     PoolTask,
     ShardOutcome,
     TaskSpec,
@@ -101,13 +78,10 @@ __all__ = [
     "CalibrationProfile",
     "Chunk",
     "EngineDecision",
-    "GraphNode",
-    "GraphResult",
     "JobResult",
     "KIND_BRUTE_FORCE",
     "KIND_MERGE_PARTITION",
     "MergeGroup",
-    "OverlapRun",
     "PartitionSpoolView",
     "PartitionedMergeValidator",
     "PoolStats",
@@ -128,6 +102,5 @@ __all__ = [
     "partition_bounds",
     "register_task_kind",
     "resolve_task_kind",
-    "run_overlapped",
     "task_kinds",
 ]

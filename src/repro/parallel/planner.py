@@ -30,13 +30,8 @@ offers two packings:
   Component boundaries are the one cut that keeps the parallel merge's
   decisions **and** I/O accounting byte-identical to the sequential pass.
 
-* :meth:`ShardPlanner.plan_pretest_chunks` — chunks of the sampling
-  pretest, grouped by dependent attribute so each attribute's reservoir
-  sample is drawn once per chunk instead of once per candidate.
-
 * :func:`pack_cost_groups` — the shared heaviest-first budget packer the
-  chunk-shaped plans (and the export planner in
-  :mod:`repro.parallel.export`) are built on.
+  chunk-shaped plans are built on.
 
 The same spool statistics also feed the **adaptive cost model**
 (:func:`choose_engine`): given the candidate set, the worker count and a
@@ -244,30 +239,14 @@ class MergeGroup:
 class ShardPlanner:
     """Packs candidates into ``shards`` cost-balanced buckets.
 
-    Costs normally come from the spool index (exact spooled value counts);
-    a ``counts`` override maps attributes to counts known *before* the
-    export lands — the overlapped pipeline plans pretest and validation
-    chunks from column-profile distinct counts while export tasks are still
-    running.  For non-LOB attributes the profile's rendered-distinct count
-    equals the spooled count, so the override changes nothing; and because
-    chunk/group composition never affects summed validator counters (tasks
-    are per-candidate independent or whole-component), an approximate count
-    could only ever affect load balance, never results.
+    Costs come from the spool index (exact spooled value counts).
     """
 
-    def __init__(
-        self, spool: SpoolDirectory, counts: dict | None = None
-    ) -> None:
+    def __init__(self, spool: SpoolDirectory) -> None:
         self._spool = spool
-        self._counts = counts
 
     def _count(self, attr) -> int:
-        """Spooled value count of ``attr``, preferring the override."""
-        if self._counts is not None:
-            try:
-                return self._counts[attr]
-            except KeyError:
-                pass
+        """Spooled value count of ``attr``."""
         return self._spool.get(attr).count
 
     def candidate_cost(self, candidate: Candidate) -> int:
@@ -373,51 +352,6 @@ class ShardPlanner:
             )
             for index, group in enumerate(packed)
         ]
-
-    def plan_pretest_chunks(
-        self, candidates: list[Candidate], workers: int
-    ) -> list[Chunk]:
-        """Sampling-pretest chunks: grouped by dependent attribute, budgeted.
-
-        A pretest of ``dep ⊆ ref`` draws a reservoir sample of ``dep``'s
-        spool file once (cached per sampler) and merges it against
-        ``ref``'s file.  Keeping every candidate of one dependent
-        attribute in the same chunk lets the chunk's worker-side sampler
-        reuse the sample across all of them — splitting a dependent group
-        would only duplicate the sampling scan, never change a decision,
-        because each candidate's pretest is a pure function of the spool
-        and the seed.  Groups are costed by the dependent's spooled value
-        count (the sample scan) plus the referenced counts of its
-        candidates (the merges) and packed with :func:`pack_cost_groups`;
-        within a chunk candidates keep their original order.  Every
-        candidate lands in exactly one chunk; output is deterministic.
-        """
-        ordered = list(dict.fromkeys(candidates))
-        if not ordered:
-            return []
-        by_dependent: dict = {}
-        for candidate in ordered:
-            by_dependent.setdefault(candidate.dependent, []).append(candidate)
-        costed_groups = []
-        for dependent, members in by_dependent.items():
-            cost = self._count(dependent) + 1
-            cost += sum(self._count(c.referenced) for c in members)
-            costed_groups.append((cost, (cost, members)))
-        packed = pack_cost_groups(costed_groups, workers)
-        position = {candidate: seq for seq, candidate in enumerate(ordered)}
-        chunks: list[Chunk] = []
-        for group in packed:
-            members = sorted(
-                (c for _, part in group for c in part), key=position.__getitem__
-            )
-            chunks.append(
-                Chunk(
-                    index=len(chunks),
-                    candidates=tuple(members),
-                    estimated_cost=sum(cost for cost, _ in group),
-                )
-            )
-        return chunks
 
     def plan_merge_groups(
         self, candidates: list[Candidate], workers: int

@@ -67,7 +67,6 @@ from repro.errors import DiscoveryError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import stamp
 from repro.parallel.tasks import (
-    GraphNode,
     PoolTask,
     ShardOutcome,
     TaskSpec,
@@ -77,15 +76,12 @@ from repro.parallel.tasks import (
 from repro.storage.sorted_sets import SpoolDirectory
 
 __all__ = [
-    "GraphNode",
-    "GraphResult",
     "JobResult",
     "PoolStats",
     "PoolTask",
     "ShardOutcome",
     "TaskSpec",
     "WorkerPool",
-    "merge_pool_stat_dicts",
     "merge_shard_outcomes",
     "run_specs",
 ]
@@ -184,49 +180,6 @@ class JobResult:
     task_spans: list[dict] = field(default_factory=list)
 
 
-@dataclass
-class GraphResult:
-    """What one :meth:`WorkerPool.run_graph` produced.
-
-    Keyed by node id (the node's position in the caller's list) rather than
-    returned as a dense list, because cancelled nodes have no outcome:
-    ``outcomes`` holds every node that executed, ``cancelled`` the node ids
-    the gate vetoed before dispatch.  ``stats`` and ``task_spans`` mirror
-    :class:`JobResult` (spans keyed by node id here).
-    """
-
-    outcomes: dict[int, ShardOutcome]
-    stats: PoolStats
-    task_spans: dict[int, dict] = field(default_factory=dict)
-    cancelled: set[int] = field(default_factory=set)
-
-
-def merge_pool_stat_dicts(parts: list[dict | None]) -> dict | None:
-    """Fold per-phase pool-stats dicts into one pipeline-wide summary.
-
-    ``discover_inds`` runs up to three pool jobs per call (spool export,
-    sampling pretest, validation), each reporting its own
-    :meth:`PoolStats.as_dict` delta; the result object surfaces their sum
-    so ``tasks_by_kind`` covers the whole pipeline.  ``None`` entries
-    (phases that ran in-process) are skipped; all-``None`` input returns
-    ``None``, meaning no pool ran at all.
-    """
-    live = [part for part in parts if part]
-    if not live:
-        return None
-    merged = PoolStats()
-    for part in live:
-        for key, value in part.items():
-            if key == "tasks_by_kind":
-                for kind, count in value.items():
-                    merged.tasks_by_kind[kind] = (
-                        merged.tasks_by_kind.get(kind, 0) + count
-                    )
-            elif hasattr(merged, key):
-                setattr(merged, key, getattr(merged, key) + value)
-    return merged.as_dict()
-
-
 def run_specs(
     pool: "WorkerPool | None",
     workers: int,
@@ -253,28 +206,11 @@ def run_specs(
 
 
 # ------------------------------------------------------------ worker process
-def _payload_mentions(payload: object, attr: str) -> bool:
-    """Does ``payload`` contain ``attr`` as a string, at any tuple depth?
-
-    The kind-agnostic half of the fault hook's trigger: tasks without
-    candidates (``spool-export`` units are plain nested tuples carrying
-    their qualified attribute names) can still be marked for a crash by
-    naming the attribute.  Only ever called on the test-hook path.
-    """
-    if isinstance(payload, str):
-        return payload == attr
-    if isinstance(payload, (tuple, list)):
-        return any(_payload_mentions(item, attr) for item in payload)
-    return False
-
-
 def _maybe_inject_fault(task: PoolTask) -> None:
     """Test hook: die once, hard, when a task touches the marked attribute.
 
     Only active when ``REPRO_POOL_FAULT_ATTR`` names an attribute one of the
-    task's candidates uses — or, for candidate-free kinds like
-    ``spool-export``, an attribute whose qualified name appears in the task
-    payload.  With ``REPRO_POOL_FAULT_ONCE_DIR`` set, an
+    task's candidates uses.  With ``REPRO_POOL_FAULT_ONCE_DIR`` set, an
     ``O_EXCL`` marker file limits the crash to exactly one worker, so the
     requeued task succeeds on the replacement — the shape the lifecycle
     tests need.  ``os._exit`` deliberately skips all cleanup: a real worker
@@ -286,7 +222,7 @@ def _maybe_inject_fault(task: PoolTask) -> None:
     touched = any(
         attr in (c.dependent.qualified, c.referenced.qualified)
         for c in task.candidates
-    ) or _payload_mentions(task.payload, attr)
+    )
     if not touched:
         return
     marker_dir = os.environ.get(_FAULT_ONCE_DIR_ENV)
@@ -404,20 +340,6 @@ class _JobState:
     stats: PoolStats = field(default_factory=PoolStats)
     error: DiscoveryError | None = None
     done: threading.Event = field(default_factory=threading.Event)
-    # -- graph jobs only (run_graph); defaults keep run_job untouched ------
-    #: Graph jobs hold back dependent nodes: ``tasks`` then contains only
-    #: the *released* nodes (so requeue/stall/sweep machinery sees exactly
-    #: the work that is actually in flight), while ``node_specs`` keeps the
-    #: full plan and ``remaining``/``dependents`` drive the release cascade.
-    is_graph: bool = False
-    node_specs: dict[int, TaskSpec] | None = None
-    dependents: dict[int, list[int]] = field(default_factory=dict)
-    remaining: dict[int, int] = field(default_factory=dict)
-    cancelled: set[int] = field(default_factory=set)
-    node_count: int = 0
-    gate: object = None
-    on_complete: object = None
-    spool_root: str | None = None
 
     def fail(self, error: DiscoveryError) -> None:
         """Mark the job failed and release its waiting caller."""
@@ -426,9 +348,7 @@ class _JobState:
         self.done.set()
 
     def finished(self) -> bool:
-        """Has every node this job will ever run reached a terminal state?"""
-        if self.is_graph:
-            return len(self.outcomes) + len(self.cancelled) >= self.node_count
+        """Has every task of this job landed an outcome?"""
         return len(self.outcomes) == len(self.tasks)
 
 
@@ -745,185 +665,6 @@ class WorkerPool:
             if state.requeues or len(state.outcomes) < len(tasks):
                 self._sweep_stale_tasks()
 
-    def run_graph(
-        self,
-        spool_root: str,
-        nodes: list[GraphNode],
-        *,
-        gate=None,
-        on_complete=None,
-    ) -> GraphResult:
-        """Drain a dependency graph of tasks with streaming release.
-
-        Unlike :meth:`run_job`, which enqueues every spec up front, a graph
-        job holds each node back until all of its ``deps`` have reached a
-        terminal state (outcome landed, or cancelled); the dispatcher thread
-        releases newly-eligible nodes the moment their last prerequisite's
-        ``done`` message is handled, so different "phases" of a pipeline
-        overlap freely on the same fleet with no inter-phase join.
-
-        ``on_complete(node_id, outcome)`` runs on the dispatcher thread
-        (serially, pool lock held) right after a node's outcome is recorded
-        and before its dependents are released — the hook where a caller
-        publishes whatever state dependents need (e.g. registering exported
-        spool files before pretest chunks open them).  It must be fast and
-        must not call back into the pool.
-
-        ``gate(node_id, spec)`` runs at release time, also on the dispatcher
-        thread: it may return the spec unchanged, a rewritten
-        :class:`TaskSpec` (e.g. with refuted candidates dropped), or ``None``
-        to cancel the node outright.  A cancelled node counts as satisfied
-        for its dependents, so cancellation cascades structurally only
-        through the gate's own decisions.  Exceptions from either callback
-        fail the job loudly.
-
-        Dependency cycles and out-of-range dependency ids raise
-        :class:`~repro.errors.DiscoveryError` before anything is dispatched.
-        Fault tolerance is inherited: released tasks requeue on worker death
-        exactly like :meth:`run_job` tasks, and a released task that keeps
-        killing its workers fails the job rather than wedging held
-        dependents.
-        """
-        for node in nodes:
-            resolve_task_kind(node.spec.kind)  # unknown kinds fail here
-        if not nodes:
-            if self._closed:
-                raise DiscoveryError("worker pool is shut down")
-            return GraphResult(outcomes={}, stats=PoolStats())
-        deps_by_node: list[tuple[int, ...]] = []
-        for nid, node in enumerate(nodes):
-            deduped = sorted(set(node.deps))
-            for dep in deduped:
-                if not 0 <= dep < len(nodes) or dep == nid:
-                    raise DiscoveryError(
-                        f"graph node {nid} has invalid dependency {dep!r}"
-                    )
-            deps_by_node.append(tuple(deduped))
-        remaining = {nid: len(deps) for nid, deps in enumerate(deps_by_node)}
-        dependents: dict[int, list[int]] = {}
-        for nid, deps in enumerate(deps_by_node):
-            for dep in deps:
-                dependents.setdefault(dep, []).append(nid)
-        # Kahn's algorithm on a scratch copy: a cycle would leave nodes
-        # permanently unreleasable, which must fail before dispatch.
-        scratch = dict(remaining)
-        ready = [nid for nid, count in scratch.items() if count == 0]
-        visited = 0
-        while ready:
-            nid = ready.pop()
-            visited += 1
-            for child in dependents.get(nid, ()):
-                scratch[child] -= 1
-                if scratch[child] == 0:
-                    ready.append(child)
-        if visited != len(nodes):
-            raise DiscoveryError(
-                f"task graph has a dependency cycle "
-                f"({len(nodes) - visited} node(s) unreachable)"
-            )
-        self._ensure_started()
-        with self._lock:
-            if self._closed:
-                raise DiscoveryError("worker pool is shut down")
-            while len(self._procs) < self._workers_target:
-                self._spawn_worker()
-            self._job_counter += 1
-            job_id = self._job_counter
-            state = _JobState(
-                job_id=job_id,
-                tasks={},
-                birth_generation=self._death_generation,
-                is_graph=True,
-                node_specs={
-                    nid: node.spec for nid, node in enumerate(nodes)
-                },
-                dependents=dependents,
-                remaining=remaining,
-                node_count=len(nodes),
-                gate=gate,
-                on_complete=on_complete,
-                spool_root=spool_root,
-            )
-            state.stats.jobs = 1
-            self._jobs[job_id] = state
-            self.stats.jobs += 1
-            # Registration and root release under one lock hold: no message
-            # can interleave, so a graph is never observable half-released.
-            for nid in range(len(nodes)):
-                if state.error is not None:
-                    break
-                if remaining[nid] == 0:
-                    self._release_graph_node(state, nid)
-            if state.error is None and state.finished():
-                state.done.set()  # every root cancelled, cascade drained all
-        try:
-            while not state.done.wait(timeout=0.1):
-                if self._closed:
-                    raise DiscoveryError("worker pool is shut down")
-                if (
-                    self._dispatcher is not None
-                    and not self._dispatcher.is_alive()
-                ):
-                    raise DiscoveryError("pool dispatcher thread died")
-            if state.error is not None:
-                raise state.error
-            return GraphResult(
-                outcomes=dict(state.outcomes),
-                stats=state.stats,
-                task_spans=dict(state.task_spans),
-                cancelled=set(state.cancelled),
-            )
-        finally:
-            with self._lock:
-                self._jobs.pop(job_id, None)
-                self._last_activity = time.monotonic()
-            if state.requeues or len(state.outcomes) < len(state.tasks):
-                self._sweep_stale_tasks()
-
-    def _release_graph_node(self, state: _JobState, node_id: int) -> None:
-        """Gate and dispatch one graph node whose deps all landed (lock held)."""
-        spec = state.node_specs[node_id]
-        if state.gate is not None:
-            try:
-                spec = state.gate(node_id, spec)
-            except Exception as exc:
-                state.fail(
-                    DiscoveryError(
-                        f"graph gate failed releasing node {node_id}: {exc!r}"
-                    )
-                )
-                return
-        if spec is None:
-            state.cancelled.add(node_id)
-            self._satisfy_dependents(state, node_id)
-            return
-        task = PoolTask(
-            job_id=state.job_id,
-            task_id=node_id,
-            kind=spec.kind,
-            spool_root=state.spool_root,
-            candidates=tuple(spec.candidates),
-            payload=tuple(spec.payload),
-        )
-        state.tasks[node_id] = task
-        state.stats.tasks_dispatched += 1
-        self.stats.tasks_dispatched += 1
-        try:
-            # Putting under the lock is fine: mp.Queue.put only hands the
-            # item to the feeder thread, it never blocks on consumers.
-            self._task_queue.put(task)
-        except (OSError, ValueError):  # shutdown closed the queue mid-put
-            state.fail(DiscoveryError("worker pool is shut down"))
-
-    def _satisfy_dependents(self, state: _JobState, node_id: int) -> None:
-        """Count ``node_id`` terminal for its dependents; release the ready
-        ones (lock held).  Recursion depth is bounded by the graph's phase
-        depth (export → pretest → validation), not its width."""
-        for child in state.dependents.get(node_id, ()):
-            state.remaining[child] -= 1
-            if state.remaining[child] == 0 and state.error is None:
-                self._release_graph_node(state, child)
-
     # -- dispatcher thread -------------------------------------------------
     def _dispatch_loop(self) -> None:
         """Own the result pipes: route messages, reap deaths, requeue stalls.
@@ -970,7 +711,6 @@ class WorkerPool:
                     with self._lock:
                         self._reap_dead_workers()
                         self._requeue_stalled_unclaimed()
-                        self._fail_wedged_graph_jobs()
             except Exception as exc:
                 # The dispatcher is the only thread driving jobs forward; if
                 # it died silently (respawn failing under memory pressure, a
@@ -1025,23 +765,6 @@ class WorkerPool:
             registry.inc("pool_tasks_total", kind=task_kind)
             if warm:
                 registry.inc("spool_handle_reuses_total")
-            if state.is_graph:
-                # Publish-then-release ordering: on_complete runs before any
-                # dependent can be dispatched, so whatever state it installs
-                # (registered spool files, pretest verdicts) is visible to
-                # every task that depends on this node.
-                if state.on_complete is not None:
-                    try:
-                        state.on_complete(task_id, outcome)
-                    except Exception as exc:
-                        state.fail(
-                            DiscoveryError(
-                                f"graph on_complete callback failed for "
-                                f"task {task_id}: {exc!r}"
-                            )
-                        )
-                        return
-                self._satisfy_dependents(state, task_id)
             if state.finished():
                 state.done.set()
         elif kind == "error":
@@ -1159,46 +882,6 @@ class WorkerPool:
                         self._death_generation
                     )
                     self._requeue(state, task_id)
-
-    def _fail_wedged_graph_jobs(self) -> None:
-        """Fail graph jobs whose held nodes can never be released (lock held).
-
-        A correct graph always makes progress: registration-plus-root-release
-        and done-plus-dependent-release each happen atomically under the
-        lock, so whenever the lock is free either some released task is
-        still outstanding (in flight, queued, or awaiting requeue — then
-        ``outcomes < tasks``) or every releasable node has been released.
-        If all released work completed, yet terminal nodes don't cover the
-        graph, the held remainder is unreachable — a scheduler or
-        graph-construction bug.  Waiting would hang the caller forever;
-        failing loudly after the stall window is the only honest outcome.
-        """
-        now = time.monotonic()
-        for state in self._jobs.values():
-            if (
-                not state.is_graph
-                or state.done.is_set()
-                or state.error is not None
-            ):
-                continue
-            if len(state.outcomes) < len(state.tasks):
-                continue  # released work still outstanding: normal progress
-            if state.finished():
-                continue
-            if now - state.last_progress <= STALL_TIMEOUT_SECONDS:
-                continue
-            held = (
-                state.node_count
-                - len(state.outcomes)
-                - len(state.cancelled)
-            )
-            state.fail(
-                DiscoveryError(
-                    f"task graph wedged: {held} node(s) can never be "
-                    f"released although every released task completed; "
-                    f"this is a scheduler bug"
-                )
-            )
 
     def _sweep_stale_tasks(self) -> None:
         """Best-effort queue sweep: drop finished/failed jobs' leftover tasks.

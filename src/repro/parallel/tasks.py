@@ -2,25 +2,19 @@
 
 PR 3's :class:`~repro.parallel.pool.WorkerPool` could run exactly one shape
 of work — a brute-force candidate chunk — because the task tuple and the
-worker loop both hard-coded that validator.  Everything else the ROADMAP
-wants to push through the warm fleet (merge partitions today; export or
-sampling work tomorrow) would have meant another bespoke pool.  This module
-makes the pool a *substrate* instead:
+worker loop both hard-coded that validator.  Every other shape of work
+would have meant another bespoke pool.  This module makes the pool a
+*substrate* instead:
 
 * a :class:`TaskSpec` names **what** to run (a task ``kind``, the candidates
   it covers, and a kind-specific ``payload``) without saying **where**;
 * a registry maps each kind to the function a worker process calls to
   execute it (:func:`register_task_kind` / :func:`resolve_task_kind`);
-* four kinds ship built in: :data:`KIND_BRUTE_FORCE` (a cost-bounded chunk of
-  candidates through the sequential
-  :class:`~repro.core.brute_force.BruteForceValidator`),
+* two kinds ship built in: :data:`KIND_BRUTE_FORCE` (a cost-bounded chunk
+  of candidates through the sequential
+  :class:`~repro.core.brute_force.BruteForceValidator`) and
   :data:`KIND_MERGE_PARTITION` (a complete heap merge over a candidate
-  group, optionally restricted to a first-byte range of the value space),
-  :data:`KIND_SPOOL_EXPORT` (a group of export units: render → external
-  sort → atomic value-file write, metadata shipped back for the parent to
-  assemble the index), and :data:`KIND_SAMPLE_PRETEST` (the Sec. 4.1
-  sampling pretest over a candidate chunk — a cheap first-k-values
-  inclusion check that prunes candidates before full validation).
+  group, optionally restricted to a first-byte range of the value space).
 
 Executors run **in the worker process** against the worker's warm
 :class:`~repro.storage.sorted_sets.SpoolDirectory` handle and return a
@@ -55,26 +49,11 @@ KIND_BRUTE_FORCE = "brute-force"
 #: skip-scan flag forwarded to the merge validator.
 KIND_MERGE_PARTITION = "merge-partition"
 
-#: Registry key of the built-in spool-export executor.  Payload:
-#: ``(units, spool_format, block_size, max_items_in_memory)`` or the same
-#: plus a trailing ``compression``, where ``units`` is a tuple of
-#: :class:`repro.storage.exporter.ExportUnit`.  Carries no candidates; the
-#: written files' metadata comes back in the outcome's ``payload``.
-KIND_SPOOL_EXPORT = "spool-export"
-
-#: Registry key of the built-in sampling-pretest executor.  Payload:
-#: ``(sample_size, seed)``; ``decisions`` maps each candidate to ``True``
-#: (survives into full validation) or ``False`` (refuted by its sample).
-KIND_SAMPLE_PRETEST = "sample-pretest"
-
-
 @dataclass
 class ShardOutcome:
     """What one executed task ships back: decisions plus measured counters.
 
-    ``payload`` carries kind-specific result data beyond decisions —
-    ``spool-export`` tasks ship the written files' metadata there; the
-    validation kinds leave it ``None``.  ``span`` is the worker-stamped
+    ``span`` is the worker-stamped
     timing record (:func:`repro.obs.trace.stamp`) the worker loop attaches
     after execution; it is observability data only — never folded into
     decisions or counters, so tracing cannot perturb results.
@@ -84,7 +63,6 @@ class ShardOutcome:
     decisions: dict[Candidate, bool]
     vacuous: set[Candidate]
     stats: ValidatorStats
-    payload: object = None
     span: dict | None = None
 
 
@@ -113,24 +91,6 @@ class PoolTask:
     spool_root: str
     candidates: tuple[Candidate, ...]
     payload: tuple = ()
-
-
-@dataclass(frozen=True)
-class GraphNode:
-    """One node of a dependency-scheduled task graph.
-
-    ``deps`` names the node ids (positions in the caller's node list) whose
-    outcomes must land before this node's spec may be dispatched —
-    :meth:`~repro.parallel.pool.WorkerPool.run_graph` holds the node back
-    and releases it from the dispatcher thread the moment its last
-    prerequisite completes (or is cancelled).  A node with no deps is
-    released immediately.  The spec itself may still be rewritten or
-    cancelled at release time by the graph's gate callback; see
-    ``run_graph``.
-    """
-
-    spec: TaskSpec
-    deps: tuple[int, ...] = ()
 
 
 #: A worker-side executor: runs one task against the (possibly warm) spool
@@ -268,72 +228,5 @@ def _run_merge_partition(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcom
     )
 
 
-def _run_spool_export(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome:
-    """Built-in executor: render, sort and write one group of export units.
-
-    Ignores the warm ``spool`` handle — the directory it runs against is
-    still being built (the parent saved a bare index so workers can open
-    the root) — and writes each unit's value file with an atomic
-    rename-on-complete, so a worker death mid-unit can never leave a torn
-    file at a final path: the requeued task simply rewrites it.  The
-    outcome's ``payload`` is the tuple of written
-    :class:`~repro.storage.sorted_sets.SortedValueFile` metadata, in unit
-    order, for the parent to register and fold into the final index.
-    """
-    from repro.storage.codec import COMPRESSION_NONE
-    from repro.storage.exporter import run_export_unit
-
-    units, spool_format, block_size, max_items, *rest = task.payload
-    compression = rest[0] if rest else COMPRESSION_NONE
-    written = tuple(
-        run_export_unit(
-            task.spool_root,
-            unit,
-            spool_format=spool_format,
-            block_size=block_size,
-            max_items_in_memory=max_items,
-            compression=compression,
-        )
-        for unit in units
-    )
-    return ShardOutcome(
-        shard_index=task.task_id,
-        decisions={},
-        vacuous=set(),
-        stats=ValidatorStats(validator=KIND_SPOOL_EXPORT),
-        payload=written,
-    )
-
-
-def _run_sample_pretest(spool: "SpoolDirectory", task: PoolTask) -> ShardOutcome:
-    """Built-in executor: the sampling pretest over one candidate chunk.
-
-    Each candidate's verdict is a pure function of the spool and the seed:
-    the reservoir sample of the dependent attribute is drawn by a
-    dedicated ``random.Random(f"{seed}-{attribute}")``, so the same
-    candidate pretested in any worker — or in the caller's process, as the
-    sequential pipeline does — sees the identical sample and returns the
-    identical verdict.  ``decisions[c] is True`` means the candidate
-    survives into full validation; ``False`` means its sample refuted it.
-    The chunk shares one sampler so candidates with a common dependent
-    attribute reuse the sample (the planner groups them deliberately).
-    """
-    from repro.core.pruning import SamplingPretest
-
-    sample_size, seed = task.payload
-    sampler = SamplingPretest(spool, sample_size=sample_size, seed=seed)
-    decisions = {
-        candidate: sampler.pretest(candidate) for candidate in task.candidates
-    }
-    return ShardOutcome(
-        shard_index=task.task_id,
-        decisions=decisions,
-        vacuous=set(),
-        stats=ValidatorStats(validator=KIND_SAMPLE_PRETEST),
-    )
-
-
 register_task_kind(KIND_BRUTE_FORCE, _run_brute_force_chunk)
 register_task_kind(KIND_MERGE_PARTITION, _run_merge_partition)
-register_task_kind(KIND_SPOOL_EXPORT, _run_spool_export)
-register_task_kind(KIND_SAMPLE_PRETEST, _run_sample_pretest)

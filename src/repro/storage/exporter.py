@@ -19,23 +19,12 @@ a thread pool.  The spool registry is the only shared state and
 :class:`~repro.storage.sorted_sets.SpoolDirectory` guards it with a lock;
 statistics are folded in submission order, so the resulting index and
 :class:`ExportStats` are deterministic regardless of scheduling.
-
-For the *process*-parallel path — export units dispatched as
-``spool-export`` tasks through :class:`repro.parallel.pool.WorkerPool` —
-this module provides the task-shaped building blocks
-(:class:`ExportUnit`, :func:`plan_export_units`, :func:`run_export_unit`)
-while :func:`repro.parallel.export.pooled_export` does the orchestration:
-storage stays below the parallel layer, and the worker-side unit executor
-is a pure function of its unit, which is what makes requeue-after-crash
-safe for export exactly as it is for validation.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import NamedTuple
 
 from repro.db.database import Database
 from repro.db.schema import AttributeRef
@@ -47,91 +36,7 @@ from repro.storage.sorted_sets import (
     FORMAT_BINARY,
     SortedValueFile,
     SpoolDirectory,
-    write_value_file,
 )
-
-
-class ExportUnit(NamedTuple):
-    """One attribute's export, packaged to cross a process boundary.
-
-    Everything a worker needs to render, sort and write the attribute —
-    including the raw (non-NULL, unrendered) ``values`` and the
-    ``file_name`` the parent reserved, so two units can never collide on a
-    sanitised name the parent-side registry would have disambiguated.
-    A plain tuple on purpose: picklable under every start method, and
-    transparently scannable by the pool's fault-injection test hook.
-    """
-
-    table: str
-    column: str
-    qualified: str
-    dtype: str
-    file_name: str
-    values: tuple
-
-
-def plan_export_units(
-    db: Database, attributes: list[AttributeRef] | None, spool: SpoolDirectory
-) -> list[ExportUnit]:
-    """Build one :class:`ExportUnit` per exportable attribute of ``db``.
-
-    Applies the same filtering as :func:`export_database` (catalog
-    resolution, LOB exclusion per Sec. 2) and reserves each unit's file
-    name in ``spool``, so the parent-side registry stays the single
-    authority on names.  Unit order matches the sequential export's
-    submission order — the order statistics are folded in.
-    """
-    targets = attributes if attributes is not None else db.attributes()
-    units: list[ExportUnit] = []
-    for ref in targets:
-        db.resolve(ref)
-        if ref in spool:
-            continue  # adopted from a donor entry; its file is already final
-        dtype = db.table(ref.table).column_def(ref.column).dtype
-        if dtype.is_lob:
-            continue
-        units.append(
-            ExportUnit(
-                table=ref.table,
-                column=ref.column,
-                qualified=ref.qualified,
-                dtype=dtype.value,
-                file_name=spool.reserve_name(ref),
-                values=tuple(db.attribute_values(ref)),
-            )
-        )
-    return units
-
-
-def run_export_unit(
-    spool_root: str,
-    unit: ExportUnit,
-    spool_format: str,
-    block_size: int,
-    max_items_in_memory: int = DEFAULT_RUN_SIZE,
-    compression: str = COMPRESSION_NONE,
-) -> SortedValueFile:
-    """Render → external-sort → write one export unit (worker-side).
-
-    A pure function of the unit: deterministic output, no shared state, an
-    atomic rename at the end — so the pool may re-execute it after a
-    worker death (even concurrently, after a stall requeue) without ever
-    exposing a torn file or a divergent result.
-    """
-    ref = AttributeRef(unit.table, unit.column)
-    sorted_values = external_sort(
-        render_column(unit.dtype, unit.values),
-        max_items_in_memory=max_items_in_memory,
-    )
-    return write_value_file(
-        ref,
-        str(Path(spool_root) / unit.file_name),
-        sorted_values,
-        dtype=unit.dtype,
-        format=spool_format,
-        block_size=block_size,
-        compression=compression,
-    )
 
 
 @dataclass

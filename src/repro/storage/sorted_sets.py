@@ -77,13 +77,12 @@ def write_value_file(
 ) -> "SortedValueFile":
     """Write one sorted distinct value file atomically; return its metadata.
 
-    The shared writing primitive behind :meth:`SpoolDirectory.add_values`
-    and the pool's ``spool-export`` tasks.  The payload is written to a
-    process-unique temporary name and renamed onto ``file_path`` only once
-    complete, so a reader (or a concurrent duplicate execution of the same
-    export task after a stall requeue) can never observe a half-written
-    file — the last complete writer wins, and both writers produce
-    byte-identical content because the input is deterministic.
+    The writing primitive behind :meth:`SpoolDirectory.add_values`.  The
+    payload is written to a process-unique temporary name and renamed onto
+    ``file_path`` only once complete, so a reader (or a concurrent writer
+    of the same attribute) can never observe a half-written file — the
+    last complete writer wins, and both writers produce byte-identical
+    content because the input is deterministic.
 
     The input **must already be sorted and duplicate-free**; this is
     verified while writing (one comparison per value) because a mis-sorted
@@ -387,12 +386,11 @@ class SpoolDirectory:
     def reserve_name(self, ref: AttributeRef) -> str:
         """Claim a unique spool file name for ``ref`` without writing it.
 
-        The task-shaped export path plans every attribute's file name in the
-        parent — worker processes each hold their own registry copy, so
-        collision avoidance must happen where the full picture lives — and
-        ships the name to the worker inside the export unit.  The
-        reservation blocks both duplicate spooling of ``ref`` and name
-        reuse until :meth:`register` (or a failure) releases it.
+        Used by :meth:`add_values` and by cache adoption
+        (:meth:`repro.storage.spool_cache.SpoolCache.adopt`), which links a
+        donor's file under the reserved name.  The reservation blocks both
+        duplicate spooling of ``ref`` and name reuse until :meth:`register`
+        (or :meth:`release`) ends it.
         """
         with self._lock:
             if ref in self._files or ref in self._reserved:
@@ -404,11 +402,11 @@ class SpoolDirectory:
     def register(self, svf: SortedValueFile) -> SortedValueFile:
         """Install an externally written value file into the registry.
 
-        The counterpart of :meth:`reserve_name`: the parent folds the
-        :class:`SortedValueFile` metadata a worker's export task produced
-        back into the directory, after which :meth:`save_index` persists
-        it like any locally written attribute.  The file must already
-        exist at its recorded path.
+        The counterpart of :meth:`reserve_name`: folds the
+        :class:`SortedValueFile` metadata of a file written (or adopted)
+        under the reserved name into the directory, after which
+        :meth:`save_index` persists it like any other attribute.  The file
+        must already exist at its recorded path.
         """
         with self._lock:
             if svf.ref in self._files:
@@ -418,8 +416,8 @@ class SpoolDirectory:
         return svf
 
     def release(self, ref: AttributeRef) -> None:
-        """Drop the name reservation of ``ref`` (an export unit that failed
-        or produced an empty attribute the caller decided not to keep)."""
+        """Drop the name reservation of ``ref`` (a write or adoption that
+        failed before :meth:`register`)."""
         with self._lock:
             self._reserved.pop(ref, None)
 

@@ -40,14 +40,13 @@ before deletion, so an open file descriptor stays valid and a concurrent
 
 **Completeness.**  Every listed *entry* is complete by construction —
 publication is one atomic rename of a finished, fingerprint-stamped staging
-directory, so a half-written export is never an entry.  What a crash (of
-the exporting process, or of a pool worker mid ``spool-export`` task whose
-job then failed) leaves behind is an *orphan*: a ``.staging-*`` directory
-that never published, or a ``.doomed-*`` eviction leftover.  Orphans never
-serve hits but hold disk; :meth:`SpoolCache.list_orphans` surfaces them
-(``repro-ind cache list`` prints them below the entries) and
-:meth:`SpoolCache.evict_orphans` (``repro-ind cache evict --orphans``)
-reclaims them.
+directory, so a half-written export is never an entry.  What a crash (or
+a failed export) of the exporting process leaves behind is an *orphan*: a
+``.staging-*`` directory that never published, or a ``.doomed-*`` eviction
+leftover.  Orphans never serve hits but hold disk;
+:meth:`SpoolCache.list_orphans` surfaces them (``repro-ind cache list``
+prints them below the entries) and :meth:`SpoolCache.evict_orphans`
+(``repro-ind cache evict --orphans``) reclaims them.
 """
 
 from __future__ import annotations
@@ -82,8 +81,8 @@ class OrphanInfo:
     """A leftover working directory inside the cache root.
 
     ``staging`` directories are in-progress (or abandoned) exports that
-    were never published — a crash mid-export, pooled or not, leaves
-    exactly this shape behind, invisible to :meth:`SpoolCache.lookup`;
+    were never published — a crash or failure mid-export leaves exactly
+    this shape behind, invisible to :meth:`SpoolCache.lookup`;
     ``doomed`` directories are eviction/replacement leftovers whose
     deletion was interrupted.  Neither ever serves a hit, but both consume
     disk silently, which is why ``repro-ind cache list`` surfaces them and

@@ -40,10 +40,6 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError, match="transitivity"):
             _config(use_transitivity=True).validated()
 
-    def test_rejects_overlap(self):
-        with pytest.raises(DiscoveryError, match="overlap"):
-            _config(overlap=True, validation_workers=2).validated()
-
     def test_external_strategies_validate(self):
         for strategy in ("brute-force", "merge-single-pass", "single-pass"):
             assert _config(strategy=strategy).validated()

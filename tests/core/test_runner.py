@@ -142,6 +142,20 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError, match="mmap_reads maps binary"):
             DiscoveryConfig(spool_format="text", mmap_reads=True).validated()
 
+    @pytest.mark.parametrize("value", (1, 0, "on", None, 1.0))
+    def test_mmap_reads_rejects_non_bool_lookalikes(self, value):
+        # 1 == True, so an equality check let mmap_reads=1 past the
+        # text-format guard and resolved it to True.
+        with pytest.raises(DiscoveryError, match="mmap_reads must be"):
+            DiscoveryConfig(spool_format="text", mmap_reads=value).validated()
+
+    @pytest.mark.parametrize("value", (0, -1))
+    def test_max_items_in_memory_must_be_positive(self, value):
+        # Rejected up front, before profiling, instead of as a bare
+        # ValueError from external_sort mid-export.
+        with pytest.raises(DiscoveryError, match="max_items_in_memory"):
+            DiscoveryConfig(max_items_in_memory=value).validated()
+
     def test_mmap_reads_auto_resolves_by_format(self):
         assert DiscoveryConfig().validated().resolved_mmap_reads is True
         assert (

@@ -11,12 +11,12 @@ from repro.obs import BUCKET_BOUNDS, MetricsRegistry, get_registry
 class TestCountersAndGauges:
     def test_counters_accumulate_per_label_set(self):
         reg = MetricsRegistry()
-        reg.inc("pool_tasks_total", kind="spool-export")
-        reg.inc("pool_tasks_total", kind="spool-export")
+        reg.inc("pool_tasks_total", kind="merge-partition")
+        reg.inc("pool_tasks_total", kind="merge-partition")
         reg.inc("pool_tasks_total", kind="brute-force")
         reg.inc("plain_total", 5)
         counters = reg.snapshot()["counters"]
-        assert counters["pool_tasks_total{kind=spool-export}"] == 2.0
+        assert counters["pool_tasks_total{kind=merge-partition}"] == 2.0
         assert counters["pool_tasks_total{kind=brute-force}"] == 1.0
         assert counters["plain_total"] == 5.0
 

@@ -142,6 +142,57 @@ class TestPoolLifecycle:
                 ).validate(candidates)
             assert pool.stats.tasks_requeued >= 1
 
+    def test_concurrent_job_unaffected_by_worker_crash(
+        self, spool, candidates, tmp_path, monkeypatch
+    ):
+        """A worker death in one job must not disturb a concurrent job.
+
+        The serve shape: two requests multiplex one pool.  Job A's chunk
+        touching the marked attribute kills its worker once; job B, whose
+        candidates never touch it, runs alongside.  Both must equal the
+        sequential validator's decisions and counters exactly.
+        """
+        import threading
+
+        clean = [
+            c for c in candidates
+            if "e" not in (c.dependent.column, c.referenced.column)
+        ]
+        expected = {
+            "crash": BruteForceValidator(spool).validate(candidates),
+            "clean": BruteForceValidator(spool).validate(clean),
+        }
+        monkeypatch.setenv("REPRO_POOL_FAULT_ATTR", "t.e")
+        monkeypatch.setenv("REPRO_POOL_FAULT_ONCE_DIR", str(tmp_path))
+        results: dict[str, object] = {}
+        errors: list[Exception] = []
+        with WorkerPool(2) as pool:
+            def run(name: str, subset: list[Candidate]) -> None:
+                try:
+                    engine = ProcessPoolValidationEngine(
+                        spool, workers=2, pool=pool
+                    )
+                    results[name] = engine.validate(subset)
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
+
+            threads = [
+                threading.Thread(target=run, args=("crash", candidates)),
+                threading.Thread(target=run, args=("clean", clean)),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert not errors
+            assert pool.stats.workers_replaced >= 1
+        assert (tmp_path / "pool-fault-fired").exists()
+        for name, want in expected.items():
+            got = results[name]
+            assert got.decisions == want.decisions, name
+            assert got.stats.items_read == want.stats.items_read, name
+            assert got.stats.comparisons == want.stats.comparisons, name
+
     def test_validator_error_inside_worker_propagates(self, spool):
         """A failing chunk (not a dying worker) raises, not hangs."""
         missing = [_cand("a", "nosuch"), _cand("b", "a"), _cand("c", "a")]

@@ -20,8 +20,6 @@ from repro.parallel.pool import WorkerPool
 from repro.parallel.tasks import (
     KIND_BRUTE_FORCE,
     KIND_MERGE_PARTITION,
-    KIND_SAMPLE_PRETEST,
-    KIND_SPOOL_EXPORT,
     ShardOutcome,
     TaskSpec,
     register_task_kind,
@@ -53,8 +51,6 @@ class TestRegistry:
         kinds = task_kinds()
         assert KIND_BRUTE_FORCE in kinds
         assert KIND_MERGE_PARTITION in kinds
-        assert KIND_SPOOL_EXPORT in kinds
-        assert KIND_SAMPLE_PRETEST in kinds
 
     def test_unknown_kind_is_loud_and_lists_alternatives(self):
         with pytest.raises(DiscoveryError, match="unknown task kind"):
@@ -162,54 +158,3 @@ class TestMergePartitionPayload:
         assert {str(c): ok for c, ok in unioned.items()} == {
             str(c): ok for c, ok in sequential.decisions.items()
         }
-
-
-class TestSpoolExportUnit:
-    """The worker-side export unit: atomic write, deterministic metadata."""
-
-    def test_run_export_unit_writes_sorted_distinct_atomically(self, tmp_path):
-        from repro.storage.exporter import ExportUnit, run_export_unit
-
-        root = tmp_path / "spool"
-        root.mkdir()
-        unit = ExportUnit(
-            table="t",
-            column="c",
-            qualified="t.c",
-            dtype="VARCHAR",
-            file_name="t__c.valsb",
-            values=("pear", "apple", "pear", "zebra"),
-        )
-        svf = run_export_unit(str(root), unit, "binary", block_size=2)
-        assert svf.count == 3  # distinct
-        assert (svf.min_value, svf.max_value) == ("apple", "zebra")
-        assert svf.path == str(root / "t__c.valsb")
-        assert (root / "t__c.valsb").exists()
-        assert not list(root.glob("*.tmp-*")), "temporary name must be gone"
-        assert svf.values() == ["apple", "pear", "zebra"]
-        # Deterministic: a duplicate execution (requeue race) reproduces
-        # byte-identical content and metadata.
-        again = run_export_unit(str(root), unit, "binary", block_size=2)
-        assert again == svf
-
-    def test_sample_pretest_payload_is_deterministic_across_fleets(self, spool):
-        """Same seed, different pools: identical verdicts every time."""
-        candidates = (_cand("a", "b"), _cand("b", "c"), _cand("c", "b"))
-        verdicts = []
-        for _ in range(2):
-            with WorkerPool(2) as pool:
-                job = pool.run_job(
-                    str(spool.root),
-                    [
-                        TaskSpec(
-                            kind=KIND_SAMPLE_PRETEST,
-                            candidates=candidates,
-                            payload=(2, 11),
-                        )
-                    ],
-                )
-            verdicts.append(
-                {str(c): ok for c, ok in job.outcomes[0].decisions.items()}
-            )
-        assert verdicts[0] == verdicts[1]
-        assert set(verdicts[0]) == {str(c) for c in candidates}

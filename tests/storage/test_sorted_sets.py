@@ -4,7 +4,7 @@ import pytest
 
 from repro.db.schema import AttributeRef
 from repro.errors import SpoolError
-from repro.storage.sorted_sets import SpoolDirectory
+from repro.storage.sorted_sets import SpoolDirectory, write_value_file
 
 
 @pytest.fixture()
@@ -60,6 +60,45 @@ class TestAddValues:
         spool.add_values(second, ["2"])
         assert spool.get(first).values() == ["1"]
         assert spool.get(second).values() == ["2"]
+
+
+class TestWriteValueFile:
+    def test_writes_atomically_and_deterministically(self, tmp_path):
+        path = tmp_path / "t__c.valsb"
+        svf = write_value_file(
+            AttributeRef("t", "c"),
+            path,
+            ["apple", "pear", "zebra"],
+            format="binary",
+            block_size=2,
+        )
+        assert svf.count == 3
+        assert (svf.min_value, svf.max_value) == ("apple", "zebra")
+        assert svf.path == str(path)
+        assert path.exists()
+        assert not list(tmp_path.glob("*.tmp-*")), "temporary name must be gone"
+        assert svf.values() == ["apple", "pear", "zebra"]
+        # A second write of the same input reproduces byte-identical
+        # content and metadata.
+        first = path.read_bytes()
+        again = write_value_file(
+            AttributeRef("t", "c"),
+            path,
+            ["apple", "pear", "zebra"],
+            format="binary",
+            block_size=2,
+        )
+        assert again == svf
+        assert path.read_bytes() == first
+
+    def test_unsorted_input_leaves_no_file(self, tmp_path):
+        path = tmp_path / "t__c.valsb"
+        with pytest.raises(SpoolError):
+            write_value_file(
+                AttributeRef("t", "c"), path, ["pear", "apple"], format="binary"
+            )
+        assert not path.exists()
+        assert not list(tmp_path.glob("*.tmp-*"))
 
 
 class TestLookups:

@@ -398,6 +398,53 @@ class TestOrphans:
         assert cache.list_orphans() == []
         assert not orphans[0].path.exists()
 
+    def test_failed_export_exposes_no_cache_entry_only_an_orphan(
+        self, tmp_path, monkeypatch
+    ):
+        """An export that raises mid-way never publishes.
+
+        The first attribute is written into staging, then the second
+        raises.  The error reaches the caller; the cache holds no entry
+        (lookups miss), and the abandoned staging directory is visible as
+        an orphan and reclaimable with ``evict_orphans``.
+        """
+        db = _db()
+        cache_dir = tmp_path / "cache"
+        config = DiscoveryConfig(
+            strategy="brute-force",
+            reuse_spool=True,
+            cache_dir=str(cache_dir),
+        )
+        real_export_one = exporter._export_one
+        exported: list[str] = []
+
+        def failing_export_one(db, spool, ref, *args):
+            if exported:
+                raise OSError("disk full")
+            exported.append(ref.qualified)
+            return real_export_one(db, spool, ref, *args)
+
+        monkeypatch.setattr(exporter, "_export_one", failing_export_one)
+        with pytest.raises(OSError, match="disk full"):
+            discover_inds(db, config)
+        assert exported, "the export failed before writing anything"
+        cache = SpoolCache(cache_dir)
+        assert cache.list_entries() == []
+        assert cache.lookup(_fingerprint(db)) is None
+        orphans = cache.list_orphans()
+        assert [o.kind for o in orphans] == ["staging"]
+        # The staging directory holds the written file but no index: the
+        # in-process export saves its index only once every file landed.
+        assert orphans[0].size_bytes > 0
+        assert not (orphans[0].path / "index.json").exists()
+        assert cache.evict_orphans() == orphans
+        assert cache.list_orphans() == []
+        # With the fault gone the same config succeeds and caches.
+        monkeypatch.setattr(exporter, "_export_one", real_export_one)
+        result = discover_inds(db, config)
+        assert not result.spool_cache_hit
+        assert len(cache.list_entries()) == 1
+
     def test_published_entries_are_never_orphans(self, tmp_path):
         db = _db()
         fingerprint = _fingerprint(db)

@@ -680,34 +680,15 @@ class TestCacheCommand:
             main(["cache", "evict", "--cache-dir", str(tmp_path)])
 
 
-class TestPipelineFlags:
-    """The pooled-pipeline flags: self-documenting help, end-to-end wiring."""
+class TestPooledValidationFlags:
+    """Pooled validation through the CLI: same answers, observable pool."""
 
-    def _discover_help(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["discover", "--help"])
-        return " ".join(capsys.readouterr().out.split())
-
-    def test_parallel_flags_document_defaults_and_requirements(self, capsys):
-        out = self._discover_help(capsys)
-        assert "--parallel-export" in out
-        assert "--parallel-pretest" in out
-        assert "--sampling-size" in out
-        assert "requires --sampling-size > 0" in out
-        assert "byte-identical" in out
-
-    def test_serve_accepts_the_pipeline_flags(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["serve", "--help"])
-        out = " ".join(capsys.readouterr().out.split())
-        assert "--parallel-export" in out
-        assert "--parallel-pretest" in out
-
-    def test_discover_runs_the_pooled_pipeline(self, biosql_dump, capsys):
+    def test_discover_pooled_validation_matches_sequential(
+        self, biosql_dump, capsys
+    ):
         assert main([
             "discover", str(biosql_dump), "--strategy", "brute-force",
             "--validation-workers", "2", "--sampling-size", "4",
-            "--parallel-export", "--parallel-pretest",
         ]) == 0
         pooled = capsys.readouterr().out
         assert main([
@@ -722,15 +703,7 @@ class TestPipelineFlags:
             line for line in sequential.splitlines() if line.startswith("  ")
         ]
 
-    def test_parallel_pretest_without_sampling_is_rejected(
-        self, biosql_dump, capsys
-    ):
-        assert main([
-            "discover", str(biosql_dump), "--parallel-pretest",
-        ]) == 2
-        assert "sampling_size" in capsys.readouterr().err
-
-    def test_serve_response_pool_covers_all_task_kinds(
+    def test_serve_response_pool_reports_task_kinds(
         self, biosql_dump, monkeypatch, capsys
     ):
         import io
@@ -739,48 +712,15 @@ class TestPipelineFlags:
         monkeypatch.setattr("sys.stdin", io.StringIO(request))
         assert main([
             "serve", "--strategy", "brute-force", "--validation-workers", "2",
-            "--sampling-size", "4", "--parallel-export", "--parallel-pretest",
+            "--sampling-size", "4",
         ]) == 0
         captured = capsys.readouterr()
         response = json.loads(captured.out.splitlines()[0])
         kinds = response["pool"]["tasks_by_kind"]
-        assert {"spool-export", "sample-pretest", "brute-force"} <= set(kinds)
+        assert set(kinds) == {"brute-force"}
         # The shutdown stats object aggregates the same kinds.
         shutdown = _shutdown_stats(captured.err)
-        assert "spool-export" in shutdown["pool"]["tasks_by_kind"]
-
-    def test_cache_hit_reports_skipped_parallel_export(
-        self, biosql_dump, tmp_path, monkeypatch, capsys
-    ):
-        """A reuse-spool hit must *say* it ignored parallel_export.
-
-        Before the fix the only evidence was a missing ``spool-export``
-        key in ``tasks_by_kind`` — indistinguishable from an export that
-        was never requested.  The response now carries ``export_skipped``
-        explicitly, and this smoke asserts it on both legs.
-        """
-        import io
-
-        request = json.dumps({"directory": str(biosql_dump)}) + "\n"
-        monkeypatch.setattr("sys.stdin", io.StringIO(request + request))
-        assert main([
-            "serve", "--strategy", "brute-force", "--validation-workers", "2",
-            "--parallel-export", "--reuse-spool",
-            "--cache-dir", str(tmp_path / "cache"),
-        ]) == 0
-        responses = [
-            json.loads(line)
-            for line in capsys.readouterr().out.splitlines()
-            if line.strip()
-        ]
-        assert len(responses) == 2
-        assert responses[0]["spool_cache_hit"] is False
-        assert responses[0]["export_skipped"] is False
-        assert responses[1]["spool_cache_hit"] is True
-        assert responses[1]["export_skipped"] is True
-        # The old inference still holds — the hit dispatched no export task.
-        assert "spool-export" in responses[0]["pool"]["tasks_by_kind"]
-        assert "spool-export" not in responses[1]["pool"]["tasks_by_kind"]
+        assert shutdown["pool"]["tasks_by_kind"] == kinds
 
     def test_serve_idle_reap_drains_fleet_between_requests(
         self, biosql_dump, monkeypatch, capsys

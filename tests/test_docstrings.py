@@ -27,7 +27,6 @@ DOCUMENTED_MODULES = [
     "repro.obs.trace",
     "repro.parallel",
     "repro.parallel.engine",
-    "repro.parallel.export",
     "repro.parallel.planner",
     "repro.parallel.pool",
     "repro.parallel.merge",

@@ -62,8 +62,7 @@ def _delta_view(result_dict: dict) -> dict:
     A delta run legitimately does *less work* than a full run: it validates
     fewer candidates, exports fewer files, reuses spool-cache entries.  So
     everything that counts work is popped — wall-clock ``timings``, the
-    whole ``validator`` counter block, ``pool``, ``overlap``,
-    ``engine_choice``, export counters, cache-hit flags, the echoed worker
+    whole ``validator`` counter block, ``pool``, ``engine_choice``, export counters, cache-hit flags, the echoed worker
     count, the additive ``trace`` and the ``delta`` accounting itself.
     Everything that *is an answer* stays: the satisfied set, candidate and
     pretest counts, sampling refutations, transitivity inferences.
@@ -73,12 +72,10 @@ def _delta_view(result_dict: dict) -> dict:
         "timings",
         "validator",
         "pool",
-        "overlap",
         "engine_choice",
         "export_values_scanned",
         "export_values_written",
         "spool_cache_hit",
-        "export_skipped",
         "validation_workers",
         "delta",
         "trace",

@@ -89,3 +89,34 @@ def test_ind_str_is_stable():
         repro.AttributeRef("child", "pid"), repro.AttributeRef("parent", "id")
     )
     assert str(ind) == "child.pid [= parent.id"
+
+
+class TestKnobRatchet:
+    """Pinned knob counts: adding a config field or a ``discover`` option
+    must come with a deliberate edit here (and a bench row that earns it).
+    """
+
+    def test_discovery_config_field_count(self):
+        import dataclasses
+
+        fields = [f.name for f in dataclasses.fields(repro.DiscoveryConfig)]
+        assert len(fields) == 26, fields
+
+    def test_discover_option_count(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        commands = next(
+            action
+            for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        options = [
+            action.option_strings[0]
+            for action in commands.choices["discover"]._actions
+            if action.option_strings
+            and not isinstance(action, argparse._HelpAction)
+        ]
+        assert len(options) == 17, options

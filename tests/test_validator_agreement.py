@@ -28,7 +28,12 @@ from repro.core.merge_single_pass import MergeSinglePassValidator
 from repro.core.reference import ReferenceValidator
 from repro.core.runner import DiscoveryConfig, DiscoverySession, discover_inds
 from repro.core.single_pass import SinglePassValidator
-from repro.parallel import PartitionedMergeValidator, ProcessPoolValidationEngine
+from repro.parallel import (
+    KIND_BRUTE_FORCE,
+    KIND_MERGE_PARTITION,
+    PartitionedMergeValidator,
+    ProcessPoolValidationEngine,
+)
 from repro.core.sql_approaches import (
     SqlJoinValidator,
     SqlMinusValidator,
@@ -363,15 +368,13 @@ def _pipeline_view(result_dict: dict) -> dict:
 
 
 class TestEndToEndPipelineAgreement:
-    """The pooled pipeline replays the sequential pipeline to the byte.
+    """Pooled validation replays the sequential pipeline to the byte.
 
-    ``parallel_export`` + ``parallel_pretest`` + parallel validation move
-    every phase of ``discover_inds`` onto the worker fleet; this matrix —
-    seeded random DBs × workers {1, 2, 4} × both spool formats × {pooled,
-    sequential} — asserts the *entire result object* (minus timings and
-    pool stats) is identical, including the candidate set the sampling
-    pretest pruned and the export counters.  Workers=1 matters: the task
-    path must be exact even when the fleet is a single process.
+    Parallel validation moves the validate phase of ``discover_inds`` onto
+    the worker fleet; this matrix — seeded random DBs × workers {1, 2, 4}
+    × every spool variant — asserts the *entire result object* (minus
+    timings and pool stats) is identical to the sequential run, including
+    the candidate set the sampling pretest pruned and the export counters.
     """
 
     WORKER_COUNTS = (1, 2, 4)
@@ -408,16 +411,19 @@ class TestEndToEndPipelineAgreement:
                     strategy,
                     variant,
                     validation_workers=workers,
-                    parallel_export=True,
-                    parallel_pretest=True,
                 ),
             )
             assert _pipeline_view(pooled.to_dict()) == expected, (
                 f"pooled pipeline diverges at {workers} workers "
                 f"(seed {seed}, {strategy}, {variant} spools)"
             )
-            kinds = set(pooled.pool_stats["tasks_by_kind"])
-            assert "spool-export" in kinds and "sample-pretest" in kinds
+            if workers > 1:
+                assert set(pooled.pool_stats["tasks_by_kind"]) == {
+                    {
+                        "brute-force": KIND_BRUTE_FORCE,
+                        "merge-single-pass": KIND_MERGE_PARTITION,
+                    }[strategy]
+                }
 
     @pytest.mark.parametrize("variant", SPOOL_VARIANTS[1:])
     def test_to_dict_identical_across_binary_variants(self, variant):
@@ -448,7 +454,7 @@ class TestEndToEndPipelineAgreement:
     def test_warm_session_runs_whole_pipeline_on_one_fleet(
         self, workers, tmp_path
     ):
-        """A session pools all three phases and never drifts across runs."""
+        """A session's warm fleet never drifts across runs."""
         db = build_random_db(5)
         variant = ("binary", "none", False)
         baseline = discover_inds(db, self._config("brute-force", variant))
@@ -457,8 +463,6 @@ class TestEndToEndPipelineAgreement:
             "brute-force",
             variant,
             validation_workers=workers,
-            parallel_export=True,
-            parallel_pretest=True,
         )
         with DiscoverySession(config) as session:
             for _ in range(2):
@@ -466,9 +470,7 @@ class TestEndToEndPipelineAgreement:
                 assert _pipeline_view(got.to_dict()) == expected
             stats = session.pool_stats.as_dict()
         assert stats["workers_spawned"] == workers  # one fleet, both runs
-        assert {"spool-export", "sample-pretest", "brute-force"} <= set(
-            stats["tasks_by_kind"]
-        )
+        assert set(stats["tasks_by_kind"]) == {"brute-force"}
 
 
 def _assert_well_formed_trace(trace: dict) -> None:
@@ -476,7 +478,7 @@ def _assert_well_formed_trace(trace: dict) -> None:
 
     One ``discover`` root, every other span parented to a live span id (no
     orphans), and every worker-stamped ``task:*`` span hanging off the
-    phase that dispatched it.
+    ``validate`` phase that dispatched it.
     """
     spans = trace["spans"]
     assert spans, "traced run produced no spans"
@@ -489,7 +491,7 @@ def _assert_well_formed_trace(trace: dict) -> None:
             assert span["parent"] in by_id, f"orphan span: {span}"
         if span["name"].startswith("task:"):
             parent = by_id[span["parent"]]
-            assert parent["name"] in ("export", "pretest", "validate"), (
+            assert parent["name"] == "validate", (
                 f"task span parented to {parent['name']!r}"
             )
             assert span["attrs"]["kind"] in span["name"]
@@ -533,8 +535,6 @@ class TestTracedPipelineExactness:
                 self._config(
                     spool_format,
                     validation_workers=workers,
-                    parallel_export=True,
-                    parallel_pretest=True,
                     trace=True,
                 ),
             )
@@ -558,8 +558,11 @@ class TestTracedPipelineExactness:
                 span["pid"] for span in trace["spans"]
                 if span["name"].startswith("task:")
             }
-            assert task_pids, "pooled run recorded no task spans"
-            assert root_pid not in task_pids
+            if workers > 1:
+                assert task_pids, "pooled run recorded no task spans"
+                assert root_pid not in task_pids
+            else:
+                assert not task_pids, "sequential run recorded task spans"
 
 
 class TestAdaptiveAgreement:
