@@ -40,6 +40,9 @@ class TestConfigValidation:
         with pytest.raises(DiscoveryError, match="transitivity"):
             _config(use_transitivity=True).validated()
 
+    def test_pooled_validation_validates(self):
+        assert _config(validation_workers=2).validated()
+
     def test_external_strategies_validate(self):
         for strategy in ("brute-force", "merge-single-pass", "single-pass"):
             assert _config(strategy=strategy).validated()

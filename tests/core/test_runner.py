@@ -335,3 +335,59 @@ class TestResultSerialisation:
         )
         assert adaptive.engine_choice["engine"] is not None
         assert adaptive.engine_choice["routing_seconds"] > 0.0
+
+
+class TestSpoolCacheReporting:
+    """A cache hit is reported once, as ``spool_cache_hit``, at any width."""
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_cache_hit_is_the_only_export_flag(self, fk_db, tmp_path, workers):
+        config = DiscoveryConfig(
+            strategy="brute-force",
+            validation_workers=workers,
+            reuse_spool=True,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        cold = discover_inds(fk_db, config)
+        warm = discover_inds(fk_db, config)
+        assert (cold.spool_cache_hit, warm.spool_cache_hit) == (False, True)
+        for result in (cold, warm):
+            doc = result.to_dict()
+            assert doc["spool_cache_hit"] is result.spool_cache_hit
+            assert "export_skipped" not in doc
+            assert "overlap" not in doc
+        assert {str(i) for i in warm.satisfied} == {
+            str(i) for i in cold.satisfied
+        }
+
+
+class TestNothingToValidate:
+    def test_all_empty_attributes_spawn_no_pool(self, tmp_path):
+        """Empty attributes are dropped at export; no job reaches a fleet."""
+        from repro.db import Column, Database, DataType, TableSchema
+
+        db = Database("hollow")
+        for name in ("a", "b"):
+            db.create_table(
+                TableSchema(
+                    name,
+                    [
+                        Column("x", DataType.INTEGER),
+                        Column("y", DataType.VARCHAR),
+                    ],
+                )
+            )
+        spool_dir = tmp_path / "spool"
+        result = discover_inds(
+            db,
+            DiscoveryConfig(
+                strategy="brute-force",
+                validation_workers=2,
+                spool_dir=str(spool_dir),
+                keep_spool=True,
+            ),
+        )
+        assert result.export_values_written == 0
+        assert result.validator_stats.candidates_tested == 0
+        assert len(result.satisfied) == 0
+        assert result.pool_stats is None

@@ -683,6 +683,53 @@ class TestCacheCommand:
 class TestPooledValidationFlags:
     """Pooled validation through the CLI: same answers, observable pool."""
 
+    def _help(self, command, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_validation_flags_document_defaults_and_requirements(
+        self, capsys
+    ):
+        out = self._help("discover", capsys)
+        assert "--validation-workers" in out
+        assert "Decisions are identical at every N" in out
+        assert "--sampling-size" in out
+        assert "default: 0, pretest off" in out
+        assert "needs --validation-workers > 1" in out
+
+    def test_serve_accepts_the_validation_flags(self, capsys):
+        out = self._help("serve", capsys)
+        for flag in (
+            "--validation-workers", "--sampling-size", "--range-split",
+            "--export-workers",
+        ):
+            assert flag in out, flag
+
+    @pytest.mark.parametrize(
+        "flag", ("--parallel-export", "--parallel-pretest", "--overlap")
+    )
+    @pytest.mark.parametrize("command", ("discover", "serve"))
+    def test_removed_pipeline_flags_are_rejected(
+        self, command, flag, tmp_path, capsys
+    ):
+        argv = [command, flag]
+        if command == "discover":
+            argv = [command, str(tmp_path), flag]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_range_split_without_workers_is_rejected(
+        self, biosql_dump, capsys
+    ):
+        assert main([
+            "discover", str(biosql_dump), "--strategy", "merge-single-pass",
+            "--range-split", "2",
+        ]) == 2
+        assert "validation_workers" in capsys.readouterr().err
+
     def test_discover_pooled_validation_matches_sequential(
         self, biosql_dump, capsys
     ):

@@ -120,3 +120,24 @@ class TestKnobRatchet:
             and not isinstance(action, argparse._HelpAction)
         ]
         assert len(options) == 17, options
+
+
+class TestRemovedPipelineKnobs:
+    """Export and the sampling pretest run in-process only; nothing else
+    schedules the pipeline, so the knobs that chose another way are gone.
+    """
+
+    @pytest.mark.parametrize(
+        "name", ("parallel_export", "parallel_pretest", "overlap")
+    )
+    def test_config_rejects_removed_field(self, name):
+        with pytest.raises(TypeError, match=name):
+            repro.DiscoveryConfig(**{name: True})
+
+    def test_parallel_package_has_no_graph_scheduler(self):
+        import repro.parallel
+
+        removed = {"GraphNode", "GraphResult", "OverlapRun", "run_overlapped"}
+        assert not removed & set(repro.parallel.__all__)
+        for name in removed:
+            assert not hasattr(repro.parallel, name), name

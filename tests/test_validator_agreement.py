@@ -11,12 +11,13 @@ straddle block boundaries constantly.
 ``tests/test_properties.py`` covers the same ground with hypothesis-shrunken
 micro-inputs; this suite complements it with larger, multi-table databases
 with messy values (newlines, backslashes, NULs, cross-type collisions) and
-with the full ``discover_inds`` pipeline including parallel export.
+with the full ``discover_inds`` pipeline including pooled validation.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -563,6 +564,108 @@ class TestTracedPipelineExactness:
                 assert root_pid not in task_pids
             else:
                 assert not task_pids, "sequential run recorded task spans"
+
+
+#: Range-split merge re-reads values at partition boundaries, so these
+#: logical I/O counters may only grow under a split; every other key of the
+#: result document must still match the in-process twin byte for byte.
+RANGE_SPLIT_IO_COUNTERS = (
+    "items_read",
+    "comparisons",
+    "files_opened",
+    "blocks_skipped",
+    "values_skipped",
+    "bytes_read",
+    "bytes_stored",
+)
+
+
+def _stress_vector(seed: int) -> dict:
+    """Derive a pooled config vector (plus the db seed) from one seed."""
+    rng = random.Random(seed ^ 0xA5A5)
+    strategy = rng.choice(("brute-force", "merge-single-pass"))
+    workers = rng.choice((2, 4))
+    range_split = 0
+    if strategy == "merge-single-pass" and rng.random() < 0.4:
+        range_split = 2
+    return {
+        "db_seed": rng.randrange(1000),
+        "strategy": strategy,
+        "workers": workers,
+        "range_split": range_split,
+        "variant": rng.choice(SPOOL_VARIANTS),
+        "sampling": rng.choice((0, 2, 3)),
+        "reuse_spool": rng.random() < 0.3,
+    }
+
+
+class TestRandomVectorAgreement:
+    """Seeded random config vectors: pooled validation vs its in-process twin.
+
+    Each seed derives a database and a config vector — strategy, worker
+    count, range split, spool variant, sampling size and ``reuse_spool`` —
+    and runs it twice: as drawn, and with ``validation_workers=1`` and no
+    split.  The two ``to_dict()`` views must be identical, on a cold cache
+    miss and (with ``reuse_spool``) on the warm hit that follows.  The
+    vector is printed on failure, so a counterexample replays with
+    ``pytest -k "test_random_vector_agrees and <seed>"``.
+    """
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_random_vector_agrees(self, seed, tmp_path):
+        vector = _stress_vector(seed)
+        db = build_random_db(vector["db_seed"])
+        spool_format, compression, mmap_reads = vector["variant"]
+
+        def config(workers, range_split, cache_dir):
+            # Each side gets its own cache root: the twins must not share
+            # spool-cache entries or calibration state.
+            return DiscoveryConfig(
+                strategy=vector["strategy"],
+                spool_format=spool_format,
+                spool_compression=compression,
+                mmap_reads=mmap_reads,
+                spool_block_size=3,
+                sampling_size=vector["sampling"],
+                pretests=PretestConfig(cardinality=True, max_value=False),
+                validation_workers=workers,
+                range_split=range_split,
+                reuse_spool=vector["reuse_spool"],
+                cache_dir=str(cache_dir),
+            )
+
+        rounds = 2 if vector["reuse_spool"] else 1  # cold miss, then warm hit
+        for round_index in range(rounds):
+            context = (
+                f"seed {seed} round {round_index} diverged — replay with "
+                f"this vector: {vector!r}"
+            )
+            sequential = discover_inds(
+                db, config(1, 0, tmp_path / "cache-seq")
+            )
+            pooled = discover_inds(
+                db,
+                config(
+                    vector["workers"],
+                    vector["range_split"],
+                    tmp_path / "cache-pooled",
+                ),
+            )
+            assert sequential.pool_stats is None, context
+            expect_hit = vector["reuse_spool"] and round_index == 1
+            assert sequential.spool_cache_hit is expect_hit, context
+            assert pooled.spool_cache_hit is expect_hit, context
+            expected = _pipeline_view(sequential.to_dict())
+            got = _pipeline_view(pooled.to_dict())
+            if vector["range_split"]:
+                assert (
+                    got["validator"]["items_read"]
+                    >= expected["validator"]["items_read"]
+                ), context
+                for counter in RANGE_SPLIT_IO_COUNTERS:
+                    expected["validator"].pop(counter)
+                    got["validator"].pop(counter)
+            assert got == expected, context
 
 
 class TestAdaptiveAgreement:
