@@ -19,8 +19,9 @@ The semantics and decisions are *identical* to the observer implementation
 is none.  Attributes whose candidates are all decided close their cursors
 early, matching the observer protocol's I/O behaviour.  Values are pulled
 through the cursors' batched protocol (:class:`repro.storage.cursors.BatchReader`),
-so per-value cost on the hot path is a list index, not a file read — while
-the lazy, exact commit keeps ``items_read`` identical to the per-value loop.
+one ``pop`` call per value, so per-value cost on the hot path is a list
+index, not a file read — while the lazy, exact commit keeps ``items_read``
+identical to the per-value loop.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ class MergeSinglePassValidator:
         for aid, state in enumerate(states):
             if state.closed:
                 continue
-            if state.reader.has_more():
-                first = state.reader.next()
+            first = state.reader.pop()
+            if first is not None:
                 current[aid] = first
                 heapq.heappush(heap, (first, aid))
             else:
@@ -168,18 +169,23 @@ class MergeSinglePassValidator:
                 self._refute_all_into(aid, states, holders, collector)
                 state.close()
 
+        # The per-value loop: one reader call per value (``pop``), the
+        # ``is_needed`` test inlined and the heap operations bound locally.
         skip = self._skip_scan
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        process_group = self._process_group
         group: list[int] = []
         while heap:
-            value, aid = heapq.heappop(heap)
+            value, aid = heappop(heap)
             group.clear()
             group.append(aid)
             while heap and heap[0][0] == value:
-                group.append(heapq.heappop(heap)[1])
-            self._process_group(group, states, holders, collector)
+                group.append(heappop(heap)[1])
+            process_group(group, states, holders, collector)
             for member in group:
                 state = states[member]
-                if state.closed or not state.is_needed:
+                if state.closed or not (state.live_refs or state.ref_usage > 0):
                     state.close()
                     continue
                 if skip and not state.live_refs and holders[member]:
@@ -190,12 +196,12 @@ class MergeSinglePassValidator:
                     frontier = min(current[dep] for dep in holders[member])
                     if frontier > value:
                         state.reader.skip_below(frontier)
-                if state.reader.has_more():
-                    nxt = state.reader.next()
-                    current[member] = nxt
-                    heapq.heappush(heap, (nxt, member))
-                else:
+                nxt = state.reader.pop()
+                if nxt is None:
                     self._exhaust(state, member, states, holders, collector)
+                else:
+                    current[member] = nxt
+                    heappush(heap, (nxt, member))
 
         undecided = collector.undecided
         if undecided:
@@ -215,17 +221,22 @@ class MergeSinglePassValidator:
     ) -> None:
         """Intersect every dependent's surviving references with the group."""
         present = set(group)
+        comparisons = 0
         for member in group:
             state = states[member]
-            if not state.live_refs:
+            live_refs = state.live_refs
+            if not live_refs:
                 continue
-            collector.stats.comparisons += len(state.live_refs)
-            dropped = state.live_refs - present
+            comparisons += len(live_refs)
+            dropped = live_refs - present
+            if not dropped:
+                continue
             for rid in sorted(dropped):
-                state.live_refs.discard(rid)
+                live_refs.discard(rid)
                 holders[rid].discard(member)
                 collector.record(Candidate(state.ref, states[rid].ref), False)
                 self._release_ref(states[rid])
+        collector.stats.comparisons += comparisons
 
     def _exhaust(
         self,

@@ -166,8 +166,14 @@ class Table:
         return self._columns[name]
 
     def non_null_values(self, name: str) -> list[Any]:
-        """All non-NULL values of a column, in row order (the bag ``v(a)``)."""
-        return [v for v in self.column_values(name) if v is not None]
+        """All non-NULL values of a column, in row order (the bag ``v(a)``).
+
+        Always a fresh list; a column without NULLs is copied whole.
+        """
+        values = self.column_values(name)
+        if None not in values:
+            return values.copy()
+        return [v for v in values if v is not None]
 
     def distinct_values(self, name: str) -> set[Any]:
         """The set of distinct non-NULL values of a column (``s(a)`` unsorted)."""

@@ -32,6 +32,7 @@ valid and distinct from a missing or truncated one.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import IO
 
@@ -100,10 +101,12 @@ class BlockMeta:
 class BlockFileWriter:
     """Streams sorted values into a v2 (or v3-compressed) block file.
 
-    The caller feeds values one at a time (they must already be sorted and
-    distinct — :class:`~repro.storage.sorted_sets.SpoolDirectory` verifies
-    that); the writer packs them into ``block_size``-value blocks and tracks
-    the per-block metadata.  ``compression="zlib"`` deflates every block
+    The caller feeds values in chunks through :meth:`write_many` (or one at
+    a time through :meth:`write`); they must already be sorted and distinct
+    — :func:`~repro.storage.sorted_sets.write_value_file` verifies that.
+    The writer packs them into ``block_size``-value blocks, encodes each
+    block with one join (:func:`~repro.storage.codec.encode_block`) and
+    tracks the per-block metadata.  ``compression="zlib"`` deflates every block
     payload and writes the v3 magic; the default writes a v2 file identical
     to older builds.  Use as a context manager or call :meth:`close`.
     """
@@ -140,16 +143,33 @@ class BlockFileWriter:
         )
 
     def write(self, value: str) -> None:
+        """Append one value (see :meth:`write_many`)."""
+        self.write_many((value,))
+
+    def write_many(self, values: Sequence[str]) -> None:
+        """Append ``values``, flushing every block they complete.
+
+        The spool writer hands over one ``block_size`` chunk at a time, so
+        each call flushes exactly one block with no copying of the chunk.
+        Any split works, though: blocks are cut every ``block_size`` values
+        of the concatenated stream, whatever the call boundaries were.
+        """
         if self._fh is None:
             raise SpoolError(f"block writer {self.path} used after close")
-        self._pending.append(value)
-        if len(self._pending) >= self.block_size:
-            self._flush_block()
-
-    def _flush_block(self) -> None:
-        values = self._pending
-        if not values:
+        size = self.block_size
+        if not self._pending and len(values) == size:
+            self._flush_block(values)
             return
+        pending = self._pending
+        pending.extend(values)
+        if len(pending) < size:
+            return
+        full = len(pending) - len(pending) % size
+        for start in range(0, full, size):
+            self._flush_block(pending[start : start + size])
+        self._pending = pending[full:]
+
+    def _flush_block(self, values: Sequence[str]) -> None:
         assert self._fh is not None
         payload = encode_block(values)
         raw_len = len(payload)
@@ -175,11 +195,12 @@ class BlockFileWriter:
         if self.min_value is None:
             self.min_value = values[0]
         self.max_value = values[-1]
-        self._pending = []
 
     def close(self) -> None:
         if self._fh is not None:
-            self._flush_block()
+            if self._pending:
+                self._flush_block(self._pending)
+                self._pending = []
             self._fh.close()
             self._fh = None
 

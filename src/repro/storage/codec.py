@@ -35,7 +35,7 @@ around each payload (:func:`compress_payload` / :func:`decompress_payload`)
 from __future__ import annotations
 
 import zlib
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro.errors import SpoolError
@@ -91,13 +91,18 @@ def render_column(dtype: str, values: Iterable[Any]) -> Iterable[str]:
     ``map(render_value, values)`` because a table stores every value of a
     column as the Python type its SQL type admits: VARCHAR, DATE and CLOB
     values are ``str`` and render as themselves, INTEGER values are ``int``
-    and render through ``str``; FLOAT and BLOB go through
-    :func:`render_value` value by value.
+    and render through ``str``, FLOAT values are ``float`` and render in one
+    comprehension (NaN and ±inf are not integral, so they take the ``repr``
+    branch just as in :func:`render_value`); only BLOB goes through
+    :func:`render_value` value by value.  The result is lazy for every type,
+    so a caller that bounds its memory (the external sort) stays bounded.
     """
     if dtype in _RENDERED_AS_STORED:
         return values
     if dtype == "INTEGER":
         return map(str, values)
+    if dtype == "FLOAT":
+        return (str(int(v)) if v.is_integer() else repr(v) for v in values)
     return map(render_value, values)
 
 
@@ -140,17 +145,32 @@ def unescape_line(line: str) -> str:
     return "".join(out)
 
 
-def encode_block(values: list[str]) -> bytes:
+def escape_lines(values: Sequence[str]) -> str:
+    r"""The escaped ``values`` joined by ``\n``: one line per value.
+
+    Equals ``"\n".join(map(escape_line, values))``.  The values are joined
+    once as they are; only when the joined text holds a backslash, a
+    carriage return or more newlines than the separators does any value
+    need escaping, and then every value goes through :func:`escape_line`.
+    """
+    text = "\n".join(values)
+    if "\\" in text or "\r" in text or text.count("\n") > len(values) - 1:
+        return "\n".join(map(escape_line, values))
+    return text
+
+
+def encode_block(values: Sequence[str]) -> bytes:
     r"""Encode a batch of values into one v2 block payload.
 
-    The payload is the escaped values joined by ``\n`` and UTF-8 encoded.
-    Escaping guarantees the separator never occurs inside a value, so the
-    decoder can split the whole payload at C speed.  The value *count* is not
-    part of the payload — the block frame (see :mod:`repro.storage.blockio`)
-    carries it, which is what disambiguates the empty payload of a zero-value
-    block from a block holding one empty string.
+    The payload is the escaped values joined by ``\n`` and UTF-8 encoded
+    (:func:`escape_lines`).  Escaping guarantees the separator never occurs
+    inside a value, so the decoder can split the whole payload at C speed.
+    The value *count* is not part of the payload — the block frame (see
+    :mod:`repro.storage.blockio`) carries it, which is what disambiguates the
+    empty payload of a zero-value block from a block holding one empty
+    string.
     """
-    return "\n".join(escape_line(value) for value in values).encode("utf-8")
+    return escape_lines(values).encode("utf-8")
 
 
 def decode_block(payload: bytes, count: int) -> list[str]:

@@ -578,7 +578,9 @@ class BatchReader:
 
     Serves values from a local list (plain indexing, no per-value cursor
     call) and commits consumed counts back to the cursor lazily — once per
-    ``batch_size`` values instead of once per value.  Totals are exact: a
+    ``batch_size`` values instead of once per value.  :meth:`pop` hands out
+    the next value or ``None`` in one call; :meth:`has_more` plus
+    :meth:`next` is the two-call form with the same accounting.  Totals are exact: a
     value is charged to :class:`IOStats` iff it was handed to the caller, so
     every validator reports the same ``items_read`` it did with per-value
     ``next_value`` loops, for both spool formats.
@@ -607,6 +609,25 @@ class BatchReader:
             return True
         self._refill()
         return bool(self._buf)
+
+    def pop(self) -> str | None:
+        """The next value, or ``None`` at the end of the file.
+
+        One call doing what :meth:`has_more` followed by :meth:`next` does,
+        with the same refills and so the same :class:`IOStats` charges.
+        Values are strings, so ``None`` is unambiguous — but ``""`` is a
+        value: test the result with ``is None``.
+        """
+        idx = self._idx
+        buf = self._buf
+        if idx >= len(buf):
+            self._refill()
+            buf = self._buf
+            if not buf:
+                return None
+            idx = 0
+        self._idx = idx + 1
+        return buf[idx]
 
     def next(self) -> str:
         if self._idx >= len(self._buf):

@@ -171,9 +171,8 @@ def _export_one(
 ) -> tuple[AttributeRef, SortedValueFile, int]:
     """Extract, sort and spool a single attribute (thread-pool work unit)."""
     if use_sql_engine:
-        rendered = _extract_via_sql(db, ref)
-        scanned = len(rendered)
-        sorted_values = iter(rendered)
+        sorted_values = _extract_via_sql(db, ref)
+        scanned = len(sorted_values)
     else:
         values = db.attribute_values(ref)
         scanned = len(values)

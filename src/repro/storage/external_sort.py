@@ -6,8 +6,9 @@ attributes whose value set exceeds main memory (PDB's largest attribute has
 ~152 million distinct values) this must be an external sort: sorted runs are
 written to temporary files and merged with a k-way heap merge.
 
-:func:`external_sort` is the single entry point; it streams out the sorted,
-distinct sequence and cleans up its run files afterwards.
+:func:`external_sort` is the single entry point; it returns the sorted,
+distinct sequence — a list when one run holds the input, otherwise a stream
+merged from spilled runs that cleans up its run files afterwards.
 """
 
 from __future__ import annotations
@@ -30,33 +31,43 @@ def external_sort(
     values: Iterable[str],
     max_items_in_memory: int = DEFAULT_RUN_SIZE,
     tmp_dir: str | None = None,
-) -> Iterator[str]:
-    """Yield the distinct values of ``values`` in ascending (code-point) order.
+) -> list[str] | Iterator[str]:
+    """The distinct values of ``values`` in ascending (code-point) order.
 
-    Holds at most ``max_items_in_memory`` values in memory at once.  If the
-    input fits in a single run no file I/O happens at all.
+    Holds at most ``max_items_in_memory`` values in memory at once.  The
+    first run is read eagerly: if the input fits in it, no file I/O happens
+    at all and the sorted list itself is returned, so a consumer that takes
+    lists (the spool writer) gets one without a copy.  Otherwise the result
+    is a lazy iterator that spills sorted runs to ``tmp_dir`` and merges
+    them, removing its run files once exhausted or closed.
     """
     if max_items_in_memory < 1:
         raise ValueError(
             f"max_items_in_memory must be >= 1, got {max_items_in_memory!r}"
         )
-    run_paths: list[str] = []
     stream = iter(values)
+    buffer = list(islice(stream, max_items_in_memory))
+    if len(buffer) < max_items_in_memory:
+        return sorted(set(buffer))
+    return _spill_and_merge(buffer, stream, max_items_in_memory, tmp_dir)
+
+
+def _spill_and_merge(
+    buffer: list[str],
+    stream: Iterator[str],
+    max_items_in_memory: int,
+    tmp_dir: str | None,
+) -> Iterator[str]:
+    """Spill ``buffer`` and the rest of ``stream`` as runs, then merge them."""
+    run_paths: list[str] = []
     try:
-        # Runs are filled a chunk at a time; a full chunk spills, exactly
-        # as it would on reaching the threshold value by value.
-        buffer = list(islice(stream, max_items_in_memory))
-        while len(buffer) >= max_items_in_memory:
+        # Runs are filled a chunk at a time; every chunk but the last is
+        # full, exactly as when spilling on reaching the threshold value by
+        # value.
+        while buffer:
             run_paths.append(_write_run(buffer, tmp_dir))
             buffer.clear()
             buffer.extend(islice(stream, max_items_in_memory))
-        if not run_paths:
-            # Everything fit in memory: sort + dedupe directly.
-            yield from sorted(set(buffer))
-            return
-        if buffer:
-            run_paths.append(_write_run(buffer, tmp_dir))
-            buffer = []
         yield from _merge_runs(run_paths)
     finally:
         for path in run_paths:

@@ -31,8 +31,11 @@ import json
 import os
 import re
 import threading
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
+from operator import lt
 from pathlib import Path
 
 from repro.db.schema import AttributeRef
@@ -41,7 +44,7 @@ from repro.storage.blockio import DEFAULT_BLOCK_SIZE, BlockFileWriter, BlockMeta
 from repro.storage.codec import (
     COMPRESSION_NONE,
     SPOOL_COMPRESSIONS,
-    escape_line,
+    escape_lines,
 )
 from repro.storage.cursors import (
     BlockFileValueCursor,
@@ -84,9 +87,13 @@ def write_value_file(
     last complete writer wins, and both writers produce byte-identical
     content because the input is deterministic.
 
-    The input **must already be sorted and duplicate-free**; this is
-    verified while writing (one comparison per value) because a mis-sorted
-    spool file silently breaks every validator.
+    Values are taken ``block_size`` at a time, for lists and iterators
+    alike, and each chunk is written whole: one binary block
+    (:meth:`~repro.storage.blockio.BlockFileWriter.write_many`) or one run
+    of text lines (:func:`~repro.storage.codec.escape_lines`).  The input
+    **must already be sorted and duplicate-free**; this is verified once
+    per chunk, inside it and across the seam to the previous one, because a
+    mis-sorted spool file silently breaks every validator.
     """
     final_path = Path(file_path)
     tmp_path = final_path.with_name(f"{final_path.name}.tmp-{os.getpid()}")
@@ -95,13 +102,20 @@ def write_value_file(
             f"spool compression {compression!r} requires the binary format, "
             f"not {format!r}"
         )
+    if format not in SPOOL_FORMATS:
+        raise SpoolError(
+            f"unknown spool format {format!r}; choose from {SPOOL_FORMATS}"
+        )
+    if block_size < 1:
+        raise SpoolError(f"block_size must be >= 1, got {block_size!r}")
+    chunks = _ascending_chunks(ref, sorted_distinct_values, block_size)
     try:
         if format == FORMAT_BINARY:
             with BlockFileWriter(
                 str(tmp_path), block_size=block_size, compression=compression
             ) as writer:
-                for value in _checked_ascending(ref, sorted_distinct_values):
-                    writer.write(value)
+                for chunk in chunks:
+                    writer.write_many(chunk)
             svf = SortedValueFile(
                 ref=ref,
                 path=str(final_path),
@@ -112,18 +126,18 @@ def write_value_file(
                 format=FORMAT_BINARY,
                 blocks=tuple(writer.blocks),
             )
-        elif format == FORMAT_TEXT:
+        else:
             count = 0
             first: str | None = None
             last: str | None = None
             with open(tmp_path, "w", encoding="utf-8") as fh:
-                for value in _checked_ascending(ref, sorted_distinct_values):
+                for chunk in chunks:
                     if first is None:
-                        first = value
-                    last = value
-                    fh.write(escape_line(value))
+                        first = chunk[0]
+                    last = chunk[-1]
+                    fh.write(escape_lines(chunk))
                     fh.write("\n")
-                    count += 1
+                    count += len(chunk)
             svf = SortedValueFile(
                 ref=ref,
                 path=str(final_path),
@@ -133,10 +147,6 @@ def write_value_file(
                 dtype=dtype,
                 format=FORMAT_TEXT,
             )
-        else:
-            raise SpoolError(
-                f"unknown spool format {format!r}; choose from {SPOOL_FORMATS}"
-            )
     except BaseException:
         tmp_path.unlink(missing_ok=True)
         raise
@@ -144,17 +154,30 @@ def write_value_file(
     return svf
 
 
-def _checked_ascending(ref: AttributeRef, values: Iterable[str]):
-    """Yield ``values`` verifying strict ascent; loud on the first violation."""
+def _ascending_chunks(
+    ref: AttributeRef, values: Iterable[str], size: int
+) -> Iterator[list[str]]:
+    """Yield ``values`` in lists of ``size``, verifying strict ascent.
+
+    Each chunk is checked at C speed, pairwise inside it and against the
+    last value of the previous chunk.  A chunk that fails is walked value
+    by value, so the error names the first offending pair in stream order.
+    """
+    stream = iter(values)
     last: str | None = None
-    for value in values:
-        if last is not None and value <= last:
-            raise SpoolError(
-                f"values for {ref} are not strictly ascending: "
-                f"{value!r} after {last!r}"
-            )
-        last = value
-        yield value
+    while chunk := list(islice(stream, size)):
+        if (last is not None and chunk[0] <= last) or not all(
+            map(lt, chunk, islice(chunk, 1, None))
+        ):
+            for value in chunk:
+                if last is not None and value <= last:
+                    raise SpoolError(
+                        f"values for {ref} are not strictly ascending: "
+                        f"{value!r} after {last!r}"
+                    )
+                last = value
+        last = chunk[-1]
+        yield chunk
 
 
 @dataclass(frozen=True)
@@ -260,6 +283,10 @@ class SpoolDirectory:
         self.attribute_fingerprints: dict[str, str] | None = None
         self._files: dict[AttributeRef, SortedValueFile] = {}
         self._reserved: dict[AttributeRef, str] = {}
+        #: File names in use by ``_files`` and ``_reserved`` (with
+        #: multiplicity), kept in step with both so that choosing a fresh
+        #: name is a lookup rather than a scan of every registered file.
+        self._taken: Counter[str] = Counter()
         self._lock = threading.Lock()
 
     # ---------------------------------------------------------- construction
@@ -339,15 +366,17 @@ class SpoolDirectory:
             blocks = tuple(
                 BlockMeta.from_doc(b) for b in entry.get("blocks", [])
             )
-            spool._files[ref] = SortedValueFile(
-                ref=ref,
-                path=str(file_path),
-                count=entry["count"],
-                min_value=entry.get("min"),
-                max_value=entry.get("max"),
-                dtype=entry.get("dtype", "VARCHAR"),
-                format=format,
-                blocks=blocks,
+            spool._install(
+                SortedValueFile(
+                    ref=ref,
+                    path=str(file_path),
+                    count=entry["count"],
+                    min_value=entry.get("min"),
+                    max_value=entry.get("max"),
+                    dtype=entry.get("dtype", "VARCHAR"),
+                    format=format,
+                    blocks=blocks,
+                )
             )
         return spool
 
@@ -360,7 +389,7 @@ class SpoolDirectory:
         """Write one attribute's sorted distinct values to its spool file.
 
         The input **must already be sorted and duplicate-free**; this is
-        verified while writing (cheap, one comparison per value) because a
+        verified while writing (see :func:`write_value_file`) because a
         mis-sorted spool file silently breaks every validator.
         """
         file_name = self.reserve_name(ref)
@@ -376,8 +405,7 @@ class SpoolDirectory:
                 compression=self.compression,
             )
         except BaseException:
-            with self._lock:
-                self._reserved.pop(ref, None)
+            self.release(ref)
             file_path.unlink(missing_ok=True)
             raise
         self.register(svf)
@@ -397,6 +425,7 @@ class SpoolDirectory:
                 raise SpoolError(f"attribute {ref} already spooled")
             file_name = self._file_name(ref)
             self._reserved[ref] = file_name
+            self._taken[file_name] += 1
             return file_name
 
     def register(self, svf: SortedValueFile) -> SortedValueFile:
@@ -411,15 +440,29 @@ class SpoolDirectory:
         with self._lock:
             if svf.ref in self._files:
                 raise SpoolError(f"attribute {svf.ref} already spooled")
-            self._reserved.pop(svf.ref, None)
-            self._files[svf.ref] = svf
+            self._unreserve(svf.ref)
+            self._install(svf)
         return svf
 
     def release(self, ref: AttributeRef) -> None:
         """Drop the name reservation of ``ref`` (a write or adoption that
         failed before :meth:`register`)."""
         with self._lock:
-            self._reserved.pop(ref, None)
+            self._unreserve(ref)
+
+    def _install(self, svf: SortedValueFile) -> None:
+        self._files[svf.ref] = svf
+        self._taken[Path(svf.path).name] += 1
+
+    def _unreserve(self, ref: AttributeRef) -> None:
+        name = self._reserved.pop(ref, None)
+        if name is not None:
+            self._untake(name)
+
+    def _untake(self, name: str) -> None:
+        self._taken[name] -= 1
+        if not self._taken[name]:
+            del self._taken[name]
 
     def save_index(self) -> None:
         compressed = self.compression != COMPRESSION_NONE
@@ -469,10 +512,8 @@ class SpoolDirectory:
         base = _SAFE_NAME.sub("_", f"{ref.table}__{ref.column}")
         extension = _EXTENSIONS[self.format]
         candidate = f"{base}{extension}"
-        existing = {Path(f.path).name for f in self._files.values()}
-        existing.update(self._reserved.values())
         suffix = 1
-        while candidate in existing:
+        while candidate in self._taken:
             suffix += 1
             candidate = f"{base}__{suffix}{extension}"
         return candidate
@@ -501,6 +542,8 @@ class SpoolDirectory:
         """Remove an attribute's spool file (used to drop empty attributes)."""
         with self._lock:
             svf = self._files.pop(ref, None)
+            if svf is not None:
+                self._untake(Path(svf.path).name)
         if svf is not None:
             Path(svf.path).unlink(missing_ok=True)
 

@@ -1,12 +1,15 @@
 """Tests for TO_CHAR-style rendering and the escaped line format."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SpoolError
 from repro.storage.codec import (
     decode_block,
     encode_block,
     escape_line,
+    render_column,
     render_distinct_sorted,
     render_value,
     unescape_line,
@@ -53,6 +56,55 @@ class TestRenderValue:
     def test_unknown_type_rejected(self):
         with pytest.raises(SpoolError):
             render_value(object())
+
+
+#: Floats whose rendering is easy to get wrong: NaN, the infinities, the
+#: signed zero, integral values beyond 2**53 and at the top of the range,
+#: and the smallest subnormal.
+SPECIAL_FLOATS = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    -0.0,
+    0.0,
+    1e16,
+    1e22,
+    5e-324,
+    2.0**53 + 2,
+    -(2.0**53) - 2,
+    1.7976931348623157e308,
+    0.1,
+    -2.5,
+]
+
+
+class TestRenderColumn:
+    """``render_column`` is ``render_value`` per value, type by type."""
+
+    def test_float_specials(self):
+        assert list(render_column("FLOAT", SPECIAL_FLOATS)) == [
+            render_value(x) for x in SPECIAL_FLOATS
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(xs=st.lists(st.floats(allow_nan=True, allow_infinity=True)))
+    def test_float_matches_render_value(self, xs):
+        assert list(render_column("FLOAT", xs)) == [render_value(x) for x in xs]
+
+    @pytest.mark.parametrize(
+        ("dtype", "values"),
+        [
+            ("INTEGER", [0, -7, 10**30]),
+            ("VARCHAR", ["", "a\nb", "é"]),
+            ("DATE", ["2006-04-03"]),
+            ("CLOB", ["long text"]),
+            ("BLOB", [b"", b"\x01\xff"]),
+        ],
+    )
+    def test_other_types(self, dtype, values):
+        assert list(render_column(dtype, values)) == [
+            render_value(v) for v in values
+        ]
 
 
 class TestEscaping:

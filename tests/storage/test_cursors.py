@@ -289,6 +289,83 @@ class TestBatchReader:
             BatchReader(MemoryValueCursor([]), batch_size=0)
 
 
+#: Every cursor kind a spool serves: text, binary, zlib, and both binary
+#: kinds through a memory mapping.
+SPOOL_CURSORS = (
+    ("text", "none", False),
+    ("binary", "none", False),
+    ("binary", "none", True),
+    ("binary", "zlib", False),
+    ("binary", "zlib", True),
+)
+
+
+def _drain(reader: BatchReader, use_pop: bool, skips: dict[int, str]) -> list:
+    """Read ``reader`` to the end, seeking at the positions in ``skips``."""
+    out: list[str] = []
+    while True:
+        if len(out) in skips:
+            reader.skip_below(skips[len(out)])
+        if use_pop:
+            value = reader.pop()
+            if value is None:
+                break
+        else:
+            if not reader.has_more():
+                break
+            value = reader.next()
+        out.append(value)
+    # Reads after the end stay at the end and charge nothing more.
+    assert (reader.pop() if use_pop else reader.has_more()) in (None, False)
+    reader.close()
+    return out
+
+
+class TestBatchReaderPop:
+    """``pop`` is ``has_more`` + ``next`` in one call, accounting included."""
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 64])
+    @pytest.mark.parametrize(
+        "variant", SPOOL_CURSORS, ids=["-".join(map(str, v)) for v in SPOOL_CURSORS]
+    )
+    @pytest.mark.parametrize(
+        "skips",
+        [{}, {0: "020"}, {5: "020", 30: "045"}, {10: "zzz"}],
+        ids=["plain", "skip-first", "skip-twice", "skip-to-end"],
+    )
+    def test_same_values_and_stats(self, tmp_path, variant, batch_size, skips):
+        from repro.db.schema import AttributeRef
+        from repro.storage.sorted_sets import SpoolDirectory
+
+        spool_format, compression, mmap_reads = variant
+        spool = SpoolDirectory.create(
+            tmp_path / "s", format=spool_format, block_size=4,
+            compression=compression, mmap_reads=mmap_reads,
+        )
+        ref = AttributeRef("t", "a")
+        spool.add_values(ref, [""] + [f"{i:03d}" for i in range(50)])
+        runs = {}
+        for use_pop in (False, True):
+            stats = IOStats()
+            reader = BatchReader(spool.open_cursor(ref, stats), batch_size)
+            values = _drain(reader, use_pop, skips)
+            runs[use_pop] = (
+                values, stats.items_read, stats.bytes_read,
+                stats.blocks_skipped, stats.values_skipped,
+            )
+        assert runs[True] == runs[False]
+        if spool_format == "binary" and skips and batch_size == 1:
+            assert runs[True][3] > 0, "the seek must skip whole blocks"
+        elif not skips:
+            assert runs[True][0] == [""] + [f"{i:03d}" for i in range(50)]
+
+    def test_empty_string_is_a_value(self):
+        reader = BatchReader(MemoryValueCursor(["", "a"]))
+        assert reader.pop() == ""
+        assert reader.pop() == "a"
+        assert reader.pop() is None
+
+
 class TestCountingCursor:
     def test_wraps_iterator(self):
         stats = IOStats()

@@ -1,5 +1,7 @@
 """Tests for sorted value files and the spool directory."""
 
+import os
+
 import pytest
 
 from repro.db.schema import AttributeRef
@@ -101,6 +103,104 @@ class TestWriteValueFile:
         assert not list(tmp_path.glob("*.tmp-*"))
 
 
+#: A violation exactly at the seam of two ``block_size=2`` chunks: the
+#: value at index 2 is the first of the second chunk.
+SEAM_CASES = {
+    "unsorted": (["a", "c", "b", "d"], "'b' after 'c'"),
+    "duplicate": (["a", "c", "c", "d"], "'c' after 'c'"),
+}
+
+
+class TestAscentCheckAtChunkSeams:
+    @pytest.mark.parametrize("as_generator", [False, True])
+    @pytest.mark.parametrize("case", sorted(SEAM_CASES))
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_seam_violation_is_loud(self, tmp_path, fmt, case, as_generator):
+        values, pair = SEAM_CASES[case]
+        spool = SpoolDirectory.create(tmp_path / "s", format=fmt, block_size=2)
+        source = (v for v in values) if as_generator else list(values)
+        with pytest.raises(
+            SpoolError, match=f"^values for t.a are not strictly ascending: {pair}$"
+        ):
+            spool.add_values(A, source)
+        assert A not in spool
+        assert list((tmp_path / "s").iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_violation_inside_a_later_chunk_names_first_pair(self, tmp_path, fmt):
+        path = tmp_path / "v"
+        with pytest.raises(SpoolError, match="'d' after 'e'$"):
+            write_value_file(
+                A, path, iter(["a", "b", "c", "e", "d", "d"]), format=fmt,
+                block_size=2,
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fmt", ["text", "binary"])
+    def test_rejects_bad_block_size(self, tmp_path, fmt):
+        with pytest.raises(SpoolError, match="block_size"):
+            write_value_file(A, tmp_path / "v", ["a"], format=fmt, block_size=0)
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestFileNameReuse:
+    """Choosing a file name looks at the names in use, and only those."""
+
+    @staticmethod
+    def _name(spool, ref):
+        return os.path.basename(spool.get(ref).path)
+
+    def test_name_free_again_after_discard(self, spool):
+        spool.add_values(A, ["a"])
+        spool.discard(A)
+        spool.add_values(A, ["b"])
+        assert self._name(spool, A) == "t__a.vals"
+
+    def test_name_free_again_after_failed_write(self, spool):
+        with pytest.raises(SpoolError, match="strictly ascending"):
+            spool.add_values(A, ["b", "a"])
+        spool.add_values(A, ["a"])
+        assert self._name(spool, A) == "t__a.vals"
+
+    def test_release_frees_a_reserved_name(self, spool):
+        x, y, z = (AttributeRef("t", c) for c in ("a/b", "a_b", "a b"))
+        assert spool.reserve_name(x) == "t__a_b.vals"
+        assert spool.reserve_name(y) == "t__a_b__2.vals"
+        spool.release(x)
+        assert spool.reserve_name(z) == "t__a_b.vals"
+        assert spool.reserve_name(x) == "t__a_b__3.vals"
+
+    def test_reopened_directory_knows_its_names(self, spool):
+        first = AttributeRef("t", "a/b")
+        spool.add_values(first, ["1"])
+        spool.save_index()
+        reopened = SpoolDirectory.open(spool.root)
+        second = AttributeRef("t", "a_b")
+        reopened.add_values(second, ["2"])
+        assert self._name(reopened, second) == "t__a_b__2.vals"
+        assert reopened.get(first).values() == ["1"]
+
+    def test_collision_suffixes_unchanged(self, spool):
+        refs = [AttributeRef("t", c) for c in ("a/b", "a_b", "a b", "a:b")]
+        for ref in refs[:3]:
+            spool.add_values(ref, ["v"])
+        assert [self._name(spool, r) for r in refs[:3]] == [
+            "t__a_b.vals",
+            "t__a_b__2.vals",
+            "t__a_b__3.vals",
+        ]
+        # The lowest free suffix is taken, whether freed by a discard or a
+        # name held only as a reservation.
+        spool.discard(refs[1])
+        assert spool.reserve_name(refs[3]) == "t__a_b__2.vals"
+        spool.add_values(refs[1], ["w"])
+        assert self._name(spool, refs[1]) == "t__a_b__4.vals"
+        spool.register(
+            write_value_file(refs[3], spool.root / "t__a_b__2.vals", ["x"])
+        )
+        assert self._name(spool, refs[3]) == "t__a_b__2.vals"
+
+
 class TestLookups:
     def test_contains_and_len(self, spool):
         assert A not in spool
@@ -148,8 +248,6 @@ class TestPersistence:
     def test_open_detects_missing_file(self, spool):
         spool.add_values(A, ["a"])
         spool.save_index()
-        import os
-
         os.unlink(spool.get(A).path)
         with pytest.raises(SpoolError, match="missing file"):
             SpoolDirectory.open(spool.root)
