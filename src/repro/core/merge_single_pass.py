@@ -169,8 +169,8 @@ class MergeSinglePassValidator:
                 self._refute_all_into(aid, states, holders, collector)
                 state.close()
 
-        # The per-value loop: one reader call per value (``pop``), the
-        # ``is_needed`` test inlined and the heap operations bound locally.
+        # One iteration per value read: ``is_needed`` is inlined and the heap
+        # functions bound locally to keep Python calls off this loop.
         skip = self._skip_scan
         heappush = heapq.heappush
         heappop = heapq.heappop

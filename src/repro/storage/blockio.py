@@ -106,9 +106,10 @@ class BlockFileWriter:
     — :func:`~repro.storage.sorted_sets.write_value_file` verifies that.
     The writer packs them into ``block_size``-value blocks, encodes each
     block with one join (:func:`~repro.storage.codec.encode_block`) and
-    tracks the per-block metadata.  ``compression="zlib"`` deflates every block
-    payload and writes the v3 magic; the default writes a v2 file identical
-    to older builds.  Use as a context manager or call :meth:`close`.
+    tracks the per-block metadata.  ``compression="zlib"`` deflates every
+    block payload and writes the v3 magic; the default writes a v2 file
+    identical to older builds.  Use as a context manager or call
+    :meth:`close`.
     """
 
     def __init__(

@@ -580,10 +580,10 @@ class BatchReader:
     call) and commits consumed counts back to the cursor lazily — once per
     ``batch_size`` values instead of once per value.  :meth:`pop` hands out
     the next value or ``None`` in one call; :meth:`has_more` plus
-    :meth:`next` is the two-call form with the same accounting.  Totals are exact: a
-    value is charged to :class:`IOStats` iff it was handed to the caller, so
-    every validator reports the same ``items_read`` it did with per-value
-    ``next_value`` loops, for both spool formats.
+    :meth:`next` is the two-call form with the same accounting.  Totals are
+    exact: a value is charged to :class:`IOStats` iff it was handed to the
+    caller, so every validator reports the same ``items_read`` it did with
+    per-value ``next_value`` loops, for both spool formats.
 
     ``flush`` commits pending consumption without closing (used when the
     caller owns the cursor); ``close`` flushes and closes the cursor.
