@@ -151,16 +151,13 @@ class BlockFileWriter:
         """Append ``values``, flushing every block they complete.
 
         The spool writer hands over one ``block_size`` chunk at a time, so
-        each call flushes exactly one block with no copying of the chunk.
-        Any split works, though: blocks are cut every ``block_size`` values
-        of the concatenated stream, whatever the call boundaries were.
+        each call flushes exactly one block.  Any split works, though:
+        blocks are cut every ``block_size`` values of the concatenated
+        stream, whatever the call boundaries were.
         """
         if self._fh is None:
             raise SpoolError(f"block writer {self.path} used after close")
         size = self.block_size
-        if not self._pending and len(values) == size:
-            self._flush_block(values)
-            return
         pending = self._pending
         pending.extend(values)
         if len(pending) < size:

@@ -69,11 +69,7 @@ def render_value(value: Any) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        if value != value or value in (float("inf"), float("-inf")):
-            return repr(value)
-        if value.is_integer():
-            return str(int(value))
-        return repr(value)
+        return str(int(value)) if value.is_integer() else repr(value)
     if isinstance(value, bytes):
         return value.hex()
     raise SpoolError(f"cannot render value of type {type(value).__name__}")

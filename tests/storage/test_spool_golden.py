@@ -14,14 +14,13 @@ The mmap variants only change how cursors read, so their digests equal
 those of the buffered variants — pinned separately all the same, so that
 stays true.
 
-To re-record after an intended format change, run this module with
-``REPRO_PRINT_GOLDEN=1`` and ``-s``; it prints the table to paste below.
+To re-record after an intended format change, paste the ``(count, manifest,
+index)`` tuples that the failing assertions show into ``GOLDEN`` below.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 
 import pytest
@@ -219,7 +218,5 @@ def test_spool_bytes_are_pinned(tmp_path, databases, case, variant, run_size):
         mmap_reads=mmap_reads,
     )
     got = _spool_digests(root)
-    if os.environ.get("REPRO_PRINT_GOLDEN") and run_size == 7:
-        print(f"    {(case, *variant)!r}: {got!r},")
     assert not list(root.glob("*.tmp*"))
     assert got == GOLDEN[(case, *variant)]
